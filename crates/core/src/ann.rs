@@ -2,6 +2,8 @@
 //! `{rising, falling} × {output slope, output delay}` — each using the
 //! paper's `3 → 10 → 10 → 5 → 1` ReLU architecture.
 
+use std::cell::RefCell;
+
 use serde::{Deserialize, Serialize};
 use signn::{train_with_validation, Mlp, ScaledModel, Standardizer, TrainConfig};
 
@@ -214,7 +216,32 @@ impl AnnTransfer {
     }
 }
 
+/// Reused polarity-split buffers of [`AnnTransfer::predict_batch`]:
+/// per polarity (`[falling, rising]`) the original query indices and the
+/// packed feature rows, plus the slope and delay outputs.
+struct SplitScratch {
+    idx: [Vec<usize>; 2],
+    rows: [Vec<f64>; 2],
+    slopes: Vec<f64>,
+    delays: Vec<f64>,
+}
+
+thread_local! {
+    /// Per-thread [`SplitScratch`], so steady-state batches allocate
+    /// nothing.
+    static SPLIT_SCRATCH: RefCell<SplitScratch> = const {
+        RefCell::new(SplitScratch {
+            idx: [Vec::new(), Vec::new()],
+            rows: [Vec::new(), Vec::new()],
+            slopes: Vec::new(),
+            delays: Vec::new(),
+        })
+    };
+}
+
 impl TransferFunction for AnnTransfer {
+    /// Two row-kernel passes ([`ScaledModel::predict_row`]); nothing is
+    /// allocated.
     fn predict(&self, query: TransferQuery) -> TransferPrediction {
         let q = query.clamped();
         let x = q.features();
@@ -223,20 +250,26 @@ impl TransferFunction for AnnTransfer {
         } else {
             (&self.fall_slope, &self.fall_delay)
         };
+        let (mut a_out, mut delay) = ([0.0], [0.0]);
+        slope_net.predict_row(&x, &mut a_out);
+        delay_net.predict_row(&x, &mut delay);
         TransferPrediction {
-            a_out: slope_net.predict(&x)[0],
-            delay: delay_net.predict(&x)[0],
+            a_out: a_out[0],
+            delay: delay[0],
         }
     }
 
-    /// Batched inference: the queries are split by polarity (the same
-    /// `a_in > 0` routing as the scalar path), each half runs through its
-    /// slope/delay networks as one row-major matrix per layer
-    /// ([`signn::Mlp::forward_batch`]), and the results are scattered back
-    /// into query order. Bit-identical to the scalar loop per query.
+    /// Batched inference. Batches below [`signn::ROW_KERNEL_MAX_ROWS`]
+    /// run [`AnnTransfer::predict`] per query. Larger ones are split by
+    /// polarity (the same `a_in > 0` routing as the scalar path) into
+    /// reused per-thread buffers, each half runs through its slope/delay
+    /// networks as one batch ([`ScaledModel::predict_batch`]), and the
+    /// results are scattered back into query order. Bit-identical to the
+    /// scalar loop per query.
     fn predict_batch(&self, queries: &[TransferQuery], out: &mut Vec<TransferPrediction>) {
         out.clear();
-        if queries.is_empty() {
+        if queries.len() < signn::ROW_KERNEL_MAX_ROWS {
+            out.extend(queries.iter().map(|&q| self.predict(q)));
             return;
         }
         out.resize(
@@ -246,35 +279,42 @@ impl TransferFunction for AnnTransfer {
                 delay: 0.0,
             },
         );
-        // [falling, rising] halves: original index + packed feature rows.
-        let mut idx: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-        let mut rows: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-        for (i, q) in queries.iter().enumerate() {
-            let q = q.clamped();
-            let p = usize::from(q.a_in > 0.0);
-            idx[p].push(i);
-            rows[p].extend_from_slice(&q.features());
-        }
-        let nets = [
-            (&self.fall_slope, &self.fall_delay),
-            (&self.rise_slope, &self.rise_delay),
-        ];
-        let mut slopes = Vec::new();
-        let mut delays = Vec::new();
-        for (p, (slope_net, delay_net)) in nets.into_iter().enumerate() {
-            let n = idx[p].len();
-            if n == 0 {
-                continue;
+        SPLIT_SCRATCH.with(|cell| {
+            let SplitScratch {
+                idx,
+                rows,
+                slopes,
+                delays,
+            } = &mut *cell.borrow_mut();
+            for p in 0..2 {
+                idx[p].clear();
+                rows[p].clear();
             }
-            slope_net.predict_batch(&rows[p], n, &mut slopes);
-            delay_net.predict_batch(&rows[p], n, &mut delays);
-            for (j, &i) in idx[p].iter().enumerate() {
-                out[i] = TransferPrediction {
-                    a_out: slopes[j],
-                    delay: delays[j],
-                };
+            for (i, q) in queries.iter().enumerate() {
+                let q = q.clamped();
+                let p = usize::from(q.a_in > 0.0);
+                idx[p].push(i);
+                rows[p].extend_from_slice(&q.features());
             }
-        }
+            let nets = [
+                (&self.fall_slope, &self.fall_delay),
+                (&self.rise_slope, &self.rise_delay),
+            ];
+            for (p, (slope_net, delay_net)) in nets.into_iter().enumerate() {
+                let n = idx[p].len();
+                if n == 0 {
+                    continue;
+                }
+                slope_net.predict_batch(&rows[p], n, slopes);
+                delay_net.predict_batch(&rows[p], n, delays);
+                for (j, &i) in idx[p].iter().enumerate() {
+                    out[i] = TransferPrediction {
+                        a_out: slopes[j],
+                        delay: delays[j],
+                    };
+                }
+            }
+        });
     }
 
     fn backend_name(&self) -> &'static str {
@@ -420,6 +460,23 @@ mod tests {
         assert_eq!(out, vec![ann.predict(queries[0])]);
         ann.predict_batch(&[], &mut out);
         assert!(out.is_empty());
+        // Every size from 0 to 16 rows, across the row-kernel break-even,
+        // with mixed polarities.
+        let many: Vec<TransferQuery> = (0..16)
+            .map(|i| {
+                let f = f64::from(i);
+                TransferQuery {
+                    t: 0.1 + 0.17 * f,
+                    a_in: if i % 3 == 0 { -6.0 - f } else { 6.0 + f },
+                    a_prev_out: if i % 2 == 0 { 9.0 } else { -9.0 },
+                }
+            })
+            .collect();
+        for n in 0..=many.len() {
+            ann.predict_batch(&many[..n], &mut out);
+            let scalar: Vec<_> = many[..n].iter().map(|&q| ann.predict(q)).collect();
+            assert_eq!(out, scalar, "batch of {n}");
+        }
     }
 
     #[test]

@@ -29,8 +29,6 @@
 //!   level-scheduled simulator batch the pending queries of many gates
 //!   through one [`TransferFunction::predict_batch`] call per model
 //!   (bit-identical to the scalar loop; see `docs/architecture.md`).
-//!   [`plan_nor`]/[`NorPlan`]/[`apply_nor`] remain as the NOR-only
-//!   vocabulary of the original prototype.
 //! * [`PlanTemplate`] — the compile/execute split of planning: the
 //!   circuit-only half (cell function, arity, masking/pass level) is
 //!   resolved once per gate, and [`PlanTemplate::bind`] instantiates the
@@ -75,9 +73,8 @@ mod region;
 mod transfer;
 
 pub use algorithm::{
-    apply_nor, apply_plan, plan_cell, plan_nor, plan_single_input, predict_nor,
-    predict_single_input, traces_bit_identical, CellFunction, GateModel, GatePlan, NorPlan,
-    PlanScratch, PlanTemplate, TomOptions,
+    apply_plan, plan_cell, plan_single_input, predict_nor, predict_single_input,
+    traces_bit_identical, CellFunction, GateModel, GatePlan, PlanScratch, PlanTemplate, TomOptions,
 };
 pub use ann::{AnnTrainConfig, AnnTransfer, TrainTransferError};
 pub use baselines::{LutTransfer, PolyTransfer};

@@ -9,6 +9,23 @@
 //! nearest training point is within a data-derived threshold, and
 //! projection snaps the query to the nearest training point. A kd-tree
 //! makes both operations `O(log n)`.
+//!
+//! # One search per query
+//!
+//! [`ValidRegion::project`] answers both questions — inside? and if not,
+//! which point? — from a single nearest-neighbour search. The search walks
+//! the node array iteratively (an explicit stack of deferred far
+//! subtrees, no recursion) and prunes a far subtree when its splitting
+//! plane is no closer than the *best* distance found so far. Ties keep the
+//! first point found: a candidate replaces the best only on a strict `<`,
+//! in near-first visit order. Every point in a pruned subtree is at least
+//! as far as the best at pruning time, so under that rule it could never
+//! have replaced the best; the search therefore returns the same point as
+//! an exhaustive near-first walk, and the same point as the previous
+//! two-search form (containment test, then nearest-point search, both
+//! pruning on the second-nearest distance), which the unit tests keep as
+//! a reference oracle next to a brute-force scan. The second-nearest
+//! distance is needed only at build time, to measure point spacing.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,6 +33,10 @@ use crate::transfer::TransferQuery;
 
 /// A 3-D point in (normalized) transfer-feature space.
 type Point = [f64; 3];
+
+/// Deepest kd-tree [`ValidRegion::nearest`] walks. [`ValidRegion::build`]
+/// splits at the median, so its trees are `⌊log₂ n⌋ + 1` levels deep.
+const MAX_DEPTH: usize = 64;
 
 /// kd-tree node in implicit array layout.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -123,20 +144,17 @@ impl ValidRegion {
         Some(slot)
     }
 
-    /// Nearest and second-nearest distances from `q` (normalized space).
+    /// Nearest and second-nearest distances from `q` (normalized space):
+    /// the build-time spacing measure.
     fn two_nearest(&self, q: Point) -> (f64, f64) {
         let mut best = (f64::INFINITY, f64::INFINITY, None::<Point>);
-        self.search(self.root, q, &mut best);
+        self.search_two(self.root, q, &mut best);
         (best.0.sqrt(), best.1.sqrt())
     }
 
-    fn nearest_point(&self, q: Point) -> (f64, Point) {
-        let mut best = (f64::INFINITY, f64::INFINITY, None::<Point>);
-        self.search(self.root, q, &mut best);
-        (best.0.sqrt(), best.2.expect("tree non-empty"))
-    }
-
-    fn search(&self, node: Option<usize>, q: Point, best: &mut (f64, f64, Option<Point>)) {
+    /// Recursive two-nearest search, pruning on the second-nearest
+    /// distance.
+    fn search_two(&self, node: Option<usize>, q: Point, best: &mut (f64, f64, Option<Point>)) {
         let Some(i) = node else { return };
         let n = &self.nodes[i];
         let d2 = dist2(n.point, q);
@@ -153,9 +171,61 @@ impl ValidRegion {
         } else {
             (n.right, n.left)
         };
-        self.search(near, q, best);
+        self.search_two(near, q, best);
         if delta * delta < best.1 {
-            self.search(far, q, best);
+            self.search_two(far, q, best);
+        }
+    }
+
+    /// Squared distance from `q` (normalized space) to its nearest
+    /// training point, and that point (`None` only if no distance
+    /// compares below infinity, e.g. for a NaN query).
+    ///
+    /// Iterative near-first descent: each node's far child is deferred on
+    /// a fixed stack together with its squared plane distance, and is
+    /// visited only if that distance is still below the best once the
+    /// near side is done — the moment the recursive form would test it.
+    fn nearest(&self, q: Point) -> (f64, Option<Point>) {
+        let mut best_d2 = f64::INFINITY;
+        let mut best = None;
+        let mut deferred = [(0usize, 0.0f64); MAX_DEPTH];
+        let mut top = 0;
+        let mut next = self.root;
+        loop {
+            while let Some(i) = next {
+                let n = &self.nodes[i];
+                let d2 = dist2(n.point, q);
+                if d2 < best_d2 {
+                    best_d2 = d2;
+                    best = Some(n.point);
+                }
+                let delta = q[n.axis] - n.point[n.axis];
+                let (near, far) = if delta < 0.0 {
+                    (n.left, n.right)
+                } else {
+                    (n.right, n.left)
+                };
+                if let Some(f) = far {
+                    assert!(
+                        top < MAX_DEPTH,
+                        "valid-region kd-tree deeper than {MAX_DEPTH}"
+                    );
+                    deferred[top] = (f, delta * delta);
+                    top += 1;
+                }
+                next = near;
+            }
+            loop {
+                if top == 0 {
+                    return (best_d2, best);
+                }
+                top -= 1;
+                let (far, plane_d2) = deferred[top];
+                if plane_d2 < best_d2 {
+                    next = Some(far);
+                    break;
+                }
+            }
         }
     }
 
@@ -170,20 +240,21 @@ impl ValidRegion {
     /// `true` if the query lies inside the valid region.
     #[must_use]
     pub fn contains(&self, query: &TransferQuery) -> bool {
-        let (d, _) = self.two_nearest(self.normalize(query));
-        d <= self.threshold
+        self.nearest(self.normalize(query)).0.sqrt() <= self.threshold
     }
 
     /// Projects the query into the region: queries already inside are
     /// returned unchanged, outside queries snap to the closest training
     /// point ("compute the closest point on the concave hull and use these
-    /// coordinates as inputs instead", Sec. IV-B).
+    /// coordinates as inputs instead", Sec. IV-B). One nearest-neighbour
+    /// search decides both.
     #[must_use]
     pub fn project(&self, query: TransferQuery) -> TransferQuery {
-        if self.contains(&query) {
+        let (d2, nearest) = self.nearest(self.normalize(&query));
+        if d2.sqrt() <= self.threshold {
             return query;
         }
-        let (_, p) = self.nearest_point(self.normalize(&query));
+        let p = nearest.expect("tree non-empty");
         TransferQuery {
             t: p[0] * self.scales[0],
             a_in: p[1] * self.scales[1],
@@ -222,6 +293,43 @@ fn dist2(a: Point, b: Point) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    impl ValidRegion {
+        /// Reference oracle: the previous projection, a containment test
+        /// followed by a second search for the point, both pruning on the
+        /// second-nearest distance.
+        fn project_two_search(&self, query: TransferQuery) -> TransferQuery {
+            let norm = self.normalize(&query);
+            if self.two_nearest(norm).0 <= self.threshold {
+                return query;
+            }
+            let mut best = (f64::INFINITY, f64::INFINITY, None::<Point>);
+            self.search_two(self.root, norm, &mut best);
+            let p = best.2.expect("tree non-empty");
+            TransferQuery {
+                t: p[0] * self.scales[0],
+                a_in: p[1] * self.scales[1],
+                a_prev_out: p[2] * self.scales[2],
+            }
+        }
+    }
+
+    /// Reference oracle: the minimum squared distance from `norm` to any
+    /// training point, by exhaustive scan in the region's normalized space.
+    fn brute_min_d2(r: &ValidRegion, pts: &[[f64; 3]], norm: Point) -> f64 {
+        pts.iter()
+            .map(|p| {
+                let n = [p[0] / r.scales[0], p[1] / r.scales[1], p[2] / r.scales[2]];
+                dist2(n, norm)
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    fn query_bits(q: &TransferQuery) -> [u64; 3] {
+        [q.t.to_bits(), q.a_in.to_bits(), q.a_prev_out.to_bits()]
+    }
 
     fn grid() -> Vec<[f64; 3]> {
         let mut pts = Vec::new();
@@ -309,6 +417,85 @@ mod tests {
     }
 
     proptest! {
+        /// The one-search projection refines both references: it returns
+        /// bit-for-bit what the old two-search form returns, and the point
+        /// it finds is at the brute-force minimum distance. Queries cover
+        /// random and far positions, training points themselves, their
+        /// float neighbours, and midpoints between two training points
+        /// (equidistant ties, frequent on the integer lattice, which also
+        /// produces duplicate points).
+        #[test]
+        fn project_refines_two_search_and_brute_force(
+            seed in 0u64..u64::MAX,
+            n in 1usize..80,
+            dups in 0usize..12,
+            lattice in any::<bool>(),
+            margin in 0.3..4.0f64,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let coord = |rng: &mut StdRng| {
+                if lattice {
+                    f64::from(rng.gen_range(-3i32..4))
+                } else {
+                    rng.gen_range(-10.0..10.0)
+                }
+            };
+            let mut pts: Vec<[f64; 3]> = (0..n)
+                .map(|_| [coord(&mut rng), 5.0 + coord(&mut rng), coord(&mut rng) - 5.0])
+                .collect();
+            for _ in 0..dups {
+                let p = pts[rng.gen_range(0..pts.len())];
+                pts.push(p);
+            }
+            let r = ValidRegion::build(&pts, margin);
+
+            let mut queries = Vec::new();
+            for _ in 0..24 {
+                queries.push([
+                    rng.gen_range(-15.0..15.0),
+                    rng.gen_range(-10.0..20.0),
+                    rng.gen_range(-20.0..10.0),
+                ]);
+            }
+            for _ in 0..8 {
+                let far = 10f64.powi(rng.gen_range(2..9));
+                queries.push([
+                    far * rng.gen_range(-1.0..1.0),
+                    far * rng.gen_range(-1.0..1.0),
+                    far * rng.gen_range(-1.0..1.0),
+                ]);
+            }
+            for _ in 0..12 {
+                let a = pts[rng.gen_range(0..pts.len())];
+                let b = pts[rng.gen_range(0..pts.len())];
+                queries.push(a);
+                queries.push([a[0].next_up(), a[1], a[2].next_down()]);
+                queries.push([a[0] + 1e-9, a[1] - 1e-9, a[2]]);
+                queries.push([
+                    0.5 * (a[0] + b[0]),
+                    0.5 * (a[1] + b[1]),
+                    0.5 * (a[2] + b[2]),
+                ]);
+            }
+
+            for probe in queries {
+                let query = q(probe[0], probe[1], probe[2]);
+                let fast = r.project(query);
+                let reference = r.project_two_search(query);
+                prop_assert_eq!(query_bits(&fast), query_bits(&reference),
+                    "query {:?}: {:?} vs two-search {:?}", query, fast, reference);
+
+                let norm = r.normalize(&query);
+                let (d2, nearest) = r.nearest(norm);
+                let brute = brute_min_d2(&r, &pts, norm);
+                prop_assert_eq!(d2.to_bits(), brute.to_bits(),
+                    "query {:?}: kd {} vs brute {}", query, d2, brute);
+                let p = nearest.expect("non-empty tree");
+                prop_assert_eq!(dist2(p, norm).to_bits(), brute.to_bits());
+                prop_assert_eq!(r.contains(&query), brute.sqrt() <= r.threshold);
+            }
+        }
+
         #[test]
         fn nearest_matches_brute_force(
             pts in proptest::collection::vec(

@@ -56,6 +56,6 @@ pub mod simd;
 mod train;
 
 pub use adam::AdamOptimizer;
-pub use mlp::{Mlp, MlpGradients};
+pub use mlp::{Mlp, MlpGradients, ROW_KERNEL_MAX_ROWS};
 pub use scaler::{ScaledModel, Standardizer};
 pub use train::{train, train_with_validation, TrainConfig, TrainReport};

@@ -10,7 +10,7 @@ use crate::simd::{self, SimdLevel};
 
 /// Rows per [`Mlp::forward_batch`] call — count doubles as the number of
 /// inference batches served, sum as the total rows inferred.
-static BATCH_ROWS: sigobs::Hist = sigobs::Hist::new("nn.batch_rows");
+pub(crate) static BATCH_ROWS: sigobs::Hist = sigobs::Hist::new("nn.batch_rows");
 
 /// One dense layer: `y = W x + b` with `W` stored row-major (`out × in`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,37 +37,51 @@ impl Dense {
         }
     }
 
-    fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        for o in 0..self.outputs {
+    /// `out = W x + b` over exactly `outputs` slots: `acc = bias`, then
+    /// `acc += w[i] * x[i]` in input order. Every forward form (row,
+    /// batch, training) runs through this loop, and the SIMD kernels
+    /// reproduce its order lane by lane.
+    fn forward_into(&self, x: &[f64], out: &mut [f64]) {
+        for (o, slot) in out.iter_mut().enumerate() {
             let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
             let mut s = self.biases[o];
             for (w, xi) in row.iter().zip(x) {
                 s += w * xi;
             }
-            out.push(s);
+            *slot = s;
         }
     }
 
-    /// Batched forward pass over `rows` row-major samples. Per-row
-    /// arithmetic is the exact accumulation order of [`Dense::forward`],
-    /// so results are bit-identical to the scalar pass.
+    fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.outputs, 0.0);
+        self.forward_into(x, out);
+    }
+
+    /// Batched forward pass over `rows` row-major samples: one
+    /// [`Dense::forward_into`] per row.
     fn forward_batch(&self, x: &[f64], rows: usize, out: &mut Vec<f64>) {
         out.clear();
-        out.reserve(rows * self.outputs);
-        for r in 0..rows {
-            let xr = &x[r * self.inputs..(r + 1) * self.inputs];
-            for o in 0..self.outputs {
-                let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
-                let mut s = self.biases[o];
-                for (w, xi) in row.iter().zip(xr) {
-                    s += w * xi;
-                }
-                out.push(s);
-            }
+        out.resize(rows * self.outputs, 0.0);
+        for (xr, yr) in x
+            .chunks_exact(self.inputs)
+            .zip(out.chunks_exact_mut(self.outputs))
+        {
+            self.forward_into(xr, yr);
         }
     }
 }
+
+/// Widest layer the row kernel ([`Mlp::forward_row`]) keeps in stack
+/// buffers. The paper's networks are at most 10 wide; a wider network
+/// runs the same kernel over heap buffers.
+const ROW_STACK_WIDTH: usize = 16;
+
+/// Batches with fewer rows than this run the row kernel once per row;
+/// larger batches take the SIMD batch pass. Below it, the batch pass's
+/// scratch borrow and transposes cost more than the lanes save (measured
+/// on an AVX2 host with the paper's `3 → 10 → 10 → 5 → 1` networks).
+pub const ROW_KERNEL_MAX_ROWS: usize = 4;
 
 thread_local! {
     /// Ping-pong activation buffers for the batched passes: reused
@@ -188,7 +202,9 @@ impl Mlp {
             .sum()
     }
 
-    /// Forward pass.
+    /// Forward pass (allocating wrapper over the crate's row kernel,
+    /// which allocates nothing and is bit-identical to a row of
+    /// [`Mlp::forward_batch`]).
     ///
     /// # Panics
     ///
@@ -196,19 +212,48 @@ impl Mlp {
     #[must_use]
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.input_size(), "input size mismatch");
-        let mut cur = x.to_vec();
-        let mut next = Vec::new();
-        let n = self.layers.len();
-        for (i, layer) in self.layers.iter().enumerate() {
-            layer.forward(&cur, &mut next);
-            if i + 1 < n {
-                for v in &mut next {
+        let mut out = vec![0.0; self.output_size()];
+        self.forward_row(|i| x[i], &mut out);
+        out
+    }
+
+    /// The row kernel: forward pass of one sample, whose input `i` is
+    /// `input(i)`, into `out` (`output_size` values) through two
+    /// ping-pong stack buffers, so nothing is allocated for networks up
+    /// to 16 units wide. The input is written straight into the first
+    /// buffer (how [`crate::ScaledModel`] standardizes without a staging
+    /// copy). Per-layer arithmetic is the accumulation order of every
+    /// other forward form, so the result is bit-identical to that row of
+    /// [`Mlp::forward_batch`] at any SIMD level.
+    pub(crate) fn forward_row(&self, input: impl Fn(usize) -> f64, out: &mut [f64]) {
+        assert_eq!(out.len(), self.output_size(), "output size mismatch");
+        let width = self.sizes.iter().copied().max().unwrap_or(0);
+        let (mut stack, mut heap);
+        let (mut cur, mut next): (&mut [f64], &mut [f64]) = if width <= ROW_STACK_WIDTH {
+            stack = [[0.0; ROW_STACK_WIDTH]; 2];
+            let [a, b] = &mut stack;
+            (a, b)
+        } else {
+            heap = vec![0.0; 2 * width];
+            heap.split_at_mut(width)
+        };
+        let mut len = self.input_size();
+        for (i, v) in cur[..len].iter_mut().enumerate() {
+            *v = input(i);
+        }
+        let hidden = self.layers.len() - 1;
+        for (li, layer) in self.layers.iter().enumerate() {
+            let y = &mut next[..layer.outputs];
+            layer.forward_into(&cur[..len], y);
+            if li < hidden {
+                for v in y.iter_mut() {
                     *v = v.max(0.0); // ReLU on hidden layers
                 }
             }
             std::mem::swap(&mut cur, &mut next);
+            len = layer.outputs;
         }
-        cur
+        out.copy_from_slice(&cur[..len]);
     }
 
     /// Batched forward pass: `x` is a row-major `n_rows × input_size`
@@ -609,6 +654,40 @@ mod tests {
                         a.to_bits(), b.to_bits(),
                         "level {} row-value {}: {} vs {}", level.as_str(), i, a, b
                     );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The row kernel refines the batch pass: for every batch size
+        /// from 0 to 16 (both sides of the row/SIMD break-even) and every
+        /// level the host supports, each row of `forward_batch_at` equals
+        /// the row kernel (via `forward`) on that row bit for bit —
+        /// including networks wider than the kernel's stack buffers.
+        #[test]
+        fn forward_row_bit_identical_to_forward_batch(
+            seed in 0u64..u64::MAX,
+            hidden in 1usize..24,
+            outputs in 1usize..3,
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let mlp = Mlp::new(&[3, hidden, 10, 5, outputs], seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            for rows in 0..=16usize {
+                let flat: Vec<f64> = (0..rows * 3)
+                    .map(|_| rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-6..6)))
+                    .collect();
+                for level in crate::simd::SimdLevel::available() {
+                    let mut batch = Vec::new();
+                    mlp.forward_batch_at(level, &flat, rows, &mut batch);
+                    prop_assert_eq!(batch.len(), rows * outputs);
+                    for (x, expect) in flat.chunks_exact(3).zip(batch.chunks_exact(outputs)) {
+                        for (a, b) in mlp.forward(x).iter().zip(expect) {
+                            prop_assert_eq!(a.to_bits(), b.to_bits(),
+                                "level {} rows {}: {} vs {}", level.as_str(), rows, a, b);
+                        }
+                    }
                 }
             }
         }

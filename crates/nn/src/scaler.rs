@@ -172,25 +172,70 @@ impl ScaledModel {
         }
     }
 
-    /// Predicts in physical units.
+    /// Predicts in physical units (allocating wrapper over
+    /// [`ScaledModel::predict_row`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `raw_input` does not match the input dimension.
     #[must_use]
     pub fn predict(&self, raw_input: &[f64]) -> Vec<f64> {
-        let x = self.input_scaler.transform(raw_input);
-        let y = self.mlp.forward(&x);
-        self.output_scaler.inverse(&y)
+        let mut out = vec![0.0; self.mlp.output_size()];
+        self.predict_row(raw_input, &mut out);
+        out
+    }
+
+    /// Predicts one row in physical units into `out` without allocating:
+    /// the input is standardized straight into the row kernel's first
+    /// buffer and the output is unscaled in place.
+    /// Elementwise math is that of [`Standardizer::transform`] and
+    /// [`Standardizer::inverse`], so the result is bit-identical to the
+    /// batch form on that row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `raw` or `out` does not match the model's dimensions.
+    pub fn predict_row(&self, raw: &[f64], out: &mut [f64]) {
+        assert_eq!(raw.len(), self.input_scaler.dim(), "dimension mismatch");
+        let Standardizer { means, stds } = &self.input_scaler;
+        self.mlp.forward_row(|i| (raw[i] - means[i]) / stds[i], out);
+        let Standardizer { means, stds } = &self.output_scaler;
+        for ((v, m), s) in out.iter_mut().zip(means).zip(stds) {
+            *v = *v * s + m;
+        }
     }
 
     /// Batched prediction in physical units: `raw_rows` is a row-major
     /// `n_rows × input_size` matrix; `out` is overwritten with the
-    /// row-major `n_rows × output_size` predictions. Standardization,
-    /// inference and inverse scaling each run as one pass over the batch
-    /// (see [`Mlp::forward_batch`]); every row is bit-identical to
+    /// row-major `n_rows × output_size` predictions. Batches below
+    /// [`crate::ROW_KERNEL_MAX_ROWS`] run [`ScaledModel::predict_row`] per
+    /// row; larger ones run standardization, inference and inverse
+    /// scaling as one pass each over the batch (see
+    /// [`Mlp::forward_batch`]). Every row is bit-identical to
     /// [`ScaledModel::predict`] on that row.
     ///
     /// # Panics
     ///
     /// Panics if `raw_rows.len()` is not `n_rows * input_size`.
     pub fn predict_batch(&self, raw_rows: &[f64], n_rows: usize, out: &mut Vec<f64>) {
+        if n_rows < crate::ROW_KERNEL_MAX_ROWS {
+            assert_eq!(
+                raw_rows.len(),
+                n_rows * self.input_scaler.dim(),
+                "batch size mismatch"
+            );
+            crate::mlp::BATCH_ROWS.record(n_rows as u64);
+            let d_out = self.mlp.output_size();
+            out.clear();
+            out.resize(n_rows * d_out, 0.0);
+            for (raw, y) in raw_rows
+                .chunks_exact(self.input_scaler.dim())
+                .zip(out.chunks_exact_mut(d_out))
+            {
+                self.predict_row(raw, y);
+            }
+            return;
+        }
         PREDICT_SCRATCH.with(|cell| {
             let (x, y) = &mut *cell.borrow_mut();
             self.input_scaler.transform_batch(raw_rows, n_rows, x);
@@ -300,6 +345,32 @@ mod tests {
     }
 
     proptest! {
+        /// `predict_batch` takes the row kernel below
+        /// `ROW_KERNEL_MAX_ROWS` and the batch pass from there on; every
+        /// batch size from 0 to 16 must equal `predict` row by row.
+        #[test]
+        fn predict_batch_bit_identical_across_break_even(
+            seed in 0u64..u64::MAX,
+            hidden in 1usize..12,
+        ) {
+            use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
+            let model = ScaledModel::new(
+                Mlp::new(&[3, hidden, 5, 1], seed),
+                Standardizer::fit(&[vec![0.0, -4.0, 1.0], vec![2.0, 4.0, 9.0]]),
+                Standardizer::fit(&[vec![-10.0], vec![30.0]]),
+            );
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut out = Vec::new();
+            for rows in 0..=16usize {
+                let flat: Vec<f64> = (0..rows * 3).map(|_| rng.gen_range(-20.0..20.0)).collect();
+                model.predict_batch(&flat, rows, &mut out);
+                prop_assert_eq!(out.len(), rows);
+                for (x, y) in flat.chunks_exact(3).zip(&out) {
+                    prop_assert_eq!(y.to_bits(), model.predict(x)[0].to_bits(), "rows {}", rows);
+                }
+            }
+        }
+
         #[test]
         fn transform_inverse_round_trip(
             rows in proptest::collection::vec(

@@ -509,7 +509,78 @@ mod tests {
 
     use proptest::prelude::*;
 
+    /// Reference oracle: the extremum of a pulse pair's sum by dense
+    /// sampling — a uniform 2001-point scan over the crossings ± 10
+    /// widths, then two more scans of the same size around the best
+    /// sample (each shrinking the step 500×). The sum has a single
+    /// interior maximum (minimum), so the refinement cannot leave its
+    /// basin; the final step is far below the peak offsets tested.
+    fn dense_extremum(first: &Sigmoid, second: &Sigmoid) -> f64 {
+        let sign = if first.is_rising() { 1.0 } else { -1.0 };
+        let f = |x: f64| sign * (first.eval_scaled(x) + second.eval_scaled(x));
+        let w = 10.0 / first.a.abs().min(second.a.abs());
+        let (mut lo, mut hi) = (first.b.min(second.b) - w, first.b.max(second.b) + w);
+        let mut best = f64::NEG_INFINITY;
+        for _ in 0..3 {
+            let h = (hi - lo) / 2000.0;
+            let mut best_x = lo;
+            for i in 0..=2000 {
+                let x = lo + f64::from(i) * h;
+                let v = f(x);
+                if v > best {
+                    best = v;
+                    best_x = x;
+                }
+            }
+            (lo, hi) = (best_x - 2.0 * h, best_x + 2.0 * h);
+        }
+        sign * best
+    }
+
     proptest! {
+        /// `pair_crosses` against dense sampling at the threshold band
+        /// edges: pairs placed so the pulse peaks `δ` above or below the
+        /// canonical threshold (1.5 for a high pulse, 0.5 for a low one),
+        /// for `δ` from 1e-3 down to 1e-7 — inside the band the
+        /// extremum-search comparison above skips.
+        #[test]
+        fn pair_crosses_matches_dense_sampling_at_band_edges(
+            a1 in 2.0..50.0f64,
+            a2 in 2.0..50.0f64,
+            b1 in -5.0..5.0f64,
+            exponent in 3usize..8,
+            above in any::<bool>(),
+            falling_first in any::<bool>(),
+        ) {
+            let delta = 10f64.powi(-(exponent as i32));
+            // Peak in max form (rising first), reflected for a low pulse.
+            let target = 1.5 + if above { delta } else { -delta };
+            let (mut lo, mut hi) = (0.0, 20.0 / a1.min(a2));
+            for _ in 0..100 {
+                let gap = 0.5 * (lo + hi);
+                let peak = Sigmoid::rising(a1, b1)
+                    .pair_extremum(&Sigmoid::falling(a2, b1 + gap))
+                    .sum;
+                if peak < target {
+                    lo = gap;
+                } else {
+                    hi = gap;
+                }
+            }
+            let gap = 0.5 * (lo + hi);
+            let (first, second, threshold) = if falling_first {
+                (Sigmoid::falling(a1, b1), Sigmoid::rising(a2, b1 + gap), 0.5)
+            } else {
+                (Sigmoid::rising(a1, b1), Sigmoid::falling(a2, b1 + gap), 1.5)
+            };
+            let dense = dense_extremum(&first, &second);
+            // Only decide where the oracle resolves the side.
+            prop_assume!((dense - threshold).abs() > 1e-9);
+            let expect = if falling_first { dense < threshold } else { dense > threshold };
+            prop_assert_eq!(first.pair_crosses(&second, threshold), expect,
+                "pair ({}, {}) threshold {} dense extremum {}", first, second, threshold, dense);
+        }
+
         #[test]
         fn pair_crosses_agrees_with_extremum_search(
             a1 in 2.0..50.0f64,

@@ -4,6 +4,15 @@ use serde::{Deserialize, Serialize};
 
 use crate::{to_scaled_time, DigitalTrace, Level, Sigmoid, Waveform};
 
+/// Relative slack of [`SigmoidTrace::digitize`]'s range skipping, scaled
+/// by `(transitions + 2)² · (vdd + |threshold|)`. Each logistic
+/// evaluation errs by a few ulps of 1 and is monotone up to that error,
+/// and summing `m` values in `[0, 1]` errs by at most `m² · ε`, so a
+/// range bound and a sampled value can differ by well under
+/// `10⁻¹⁴ · (m + 2)² · vdd`; this slack is four orders of magnitude
+/// wider. A larger slack only skips less.
+const SKIP_MARGIN: f64 = 1e-10;
+
 /// A waveform expressed as the joint model function of Eq. 2:
 ///
 /// `F_T(t) = VDD · ( Σᵢ Fs(t, aᵢ, bᵢ) − k )`
@@ -189,15 +198,92 @@ impl SigmoidTrace {
     ///
     /// For well-separated transitions each sigmoid crossing is at
     /// `time_at_level(threshold/vdd)`; overlapping transitions (degraded
-    /// pulses) are resolved by sampling the exact trace and refining each
-    /// crossing by bisection, so sub-threshold pulses correctly produce *no*
-    /// digital transitions.
+    /// pulses) are resolved by sampling the exact trace on a grid fine
+    /// enough for the steepest transition and refining each crossing by
+    /// bisection, so sub-threshold pulses correctly produce *no* digital
+    /// transitions.
+    ///
+    /// The grid is not sampled point by point. Every sigmoid is
+    /// monotone, so over a grid range `[x_i, x_j]` the trace lies between
+    /// the sums of the per-sigmoid minima and maxima at the two ends; a
+    /// range whose bound stays on the current side of `threshold` by
+    /// `SKIP_MARGIN`-scaled slack (far more than the rounding of the
+    /// sums) cannot contain a sign change of any sampled value, so it is
+    /// skipped whole, with a stride that doubles while ranges keep
+    /// clearing. Only single grid steps that the bound cannot clear are
+    /// sampled, and each sign change among them is bisected; a bisection
+    /// stops at its fixed point, once the midpoint equals an end, where
+    /// every further step would leave both ends unchanged. The toggles
+    /// are therefore bit-identical to sampling every grid point and
+    /// running every bisection for its full 60 steps (a dense-scan
+    /// reference in the tests checks it).
     #[must_use]
     pub fn digitize(&self, threshold: f64) -> DigitalTrace {
         if self.transitions.is_empty() {
             return DigitalTrace::constant(self.initial);
         }
-        // Sampling window: pad by the widest transition.
+        let (x0, n, dt) = self.digitize_grid();
+        let grid_x = |i: usize| if i == 0 { x0 } else { x0 + i as f64 * dt };
+        let k = self.offset_k();
+        // The trace value from per-sigmoid values, summed in transition
+        // order exactly as `value_at_scaled` does.
+        let value = |sig: &[f64]| self.vdd * (sig.iter().copied().sum::<f64>() - k);
+        let eval_into = |x: f64, sig: &mut [f64]| {
+            for (v, s) in sig.iter_mut().zip(&self.transitions) {
+                *v = s.eval_scaled(x);
+            }
+        };
+        let m = self.transitions.len() as f64 + 2.0;
+        let margin = SKIP_MARGIN * m * m * (self.vdd + threshold.abs());
+
+        // Per-sigmoid values at the current grid point `i` and at the
+        // probed point `j`.
+        let mut at_i = vec![0.0; self.transitions.len()];
+        let mut at_j = at_i.clone();
+        eval_into(x0, &mut at_i);
+        let mut above = value(&at_i) > threshold;
+        let initial = Level::from_bool(above);
+        let mut toggles = Vec::new();
+        let (mut i, mut stride) = (0usize, 1usize);
+        while i + 1 < n {
+            let j = (i + stride).min(n - 1);
+            let xj = grid_x(j);
+            eval_into(xj, &mut at_j);
+            let (mut lo, mut hi) = (0.0, 0.0);
+            for (a, b) in at_i.iter().zip(&at_j) {
+                lo += a.min(*b);
+                hi += a.max(*b);
+            }
+            let clears = if above {
+                self.vdd * (lo - k) > threshold + margin
+            } else {
+                self.vdd * (hi - k) < threshold - margin
+            };
+            if clears {
+                stride = (stride * 2).min(n);
+            } else if j == i + 1 {
+                let now_above = value(&at_j) > threshold;
+                if now_above != above {
+                    toggles.push(self.bisect_crossing(grid_x(i), xj, above, threshold));
+                    above = now_above;
+                }
+                stride = 1;
+            } else {
+                stride = (j - i) / 2;
+                continue;
+            }
+            i = j;
+            std::mem::swap(&mut at_i, &mut at_j);
+        }
+        DigitalTrace::new(initial, toggles).expect("bisection times increase")
+    }
+
+    /// The sampling grid of [`SigmoidTrace::digitize`] as
+    /// `(x0, points, step)` in scaled time: padded by the widest
+    /// transition on both sides, dense enough to resolve the narrowest
+    /// one with several samples, at least 258 and at most 2 000 001
+    /// points.
+    fn digitize_grid(&self) -> (f64, usize, f64) {
         let first = self.transitions.first().expect("non-empty");
         let last = self.transitions.last().expect("non-empty");
         let max_width = self
@@ -207,8 +293,6 @@ impl SigmoidTrace {
             .fold(0.0f64, f64::max);
         let x0 = first.b - max_width;
         let x1 = last.b + max_width;
-        // Dense enough to catch the narrowest pulse: resolve each sigmoid's
-        // width with several samples.
         let min_width = self
             .transitions
             .iter()
@@ -216,33 +300,28 @@ impl SigmoidTrace {
             .fold(f64::INFINITY, f64::min);
         let step = (min_width / 4.0).min((x1 - x0) / 256.0);
         let n = (((x1 - x0) / step).ceil() as usize).clamp(257, 2_000_000) + 1;
-        let dt = (x1 - x0) / (n - 1) as f64;
+        (x0, n, (x1 - x0) / (n - 1) as f64)
+    }
 
-        let mut toggles = Vec::new();
-        let mut prev_x = x0;
-        let mut prev_v = self.value_at_scaled(x0);
-        for i in 1..n {
-            let x = x0 + i as f64 * dt;
-            let v = self.value_at_scaled(x);
-            if (prev_v > threshold) != (v > threshold) {
-                // Bisect for the crossing.
-                let (mut lo, mut hi) = (prev_x, x);
-                let lo_above = prev_v > threshold;
-                for _ in 0..60 {
-                    let mid = 0.5 * (lo + hi);
-                    if (self.value_at_scaled(mid) > threshold) == lo_above {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                toggles.push(crate::to_seconds(0.5 * (lo + hi)));
+    /// Bisects the sign change of the trace between grid points `lo` and
+    /// `hi` (the side at `lo` is `lo_above`) for at most 60 halvings, and
+    /// returns the midpoint of the final bracket in seconds. Once the
+    /// midpoint equals `lo` or `hi` bit for bit it lands on the same side
+    /// as that end, so every remaining halving would be a no-op: the loop
+    /// stops there.
+    fn bisect_crossing(&self, mut lo: f64, mut hi: f64, lo_above: bool, threshold: f64) -> f64 {
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if mid.to_bits() == lo.to_bits() || mid.to_bits() == hi.to_bits() {
+                break;
             }
-            prev_x = x;
-            prev_v = v;
+            if (self.value_at_scaled(mid) > threshold) == lo_above {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
         }
-        let initial = Level::from_bool(self.value_at_scaled(x0) > threshold);
-        DigitalTrace::new(initial, toggles).expect("bisection times increase")
+        crate::to_seconds(0.5 * (lo + hi))
     }
 
     /// Renders the trace into a sampled [`Waveform`] on `[t0, t1]` seconds
@@ -268,6 +347,109 @@ mod tests {
     use super::*;
     use crate::VDD_DEFAULT;
     use proptest::prelude::*;
+    use proptest::rand::rngs::StdRng;
+    use proptest::rand::{Rng, SeedableRng};
+
+    impl SigmoidTrace {
+        /// Reference oracle: the dense scan — every grid point sampled,
+        /// every sign change bisected for the full 60 halvings.
+        fn digitize_dense(&self, threshold: f64) -> DigitalTrace {
+            if self.transitions.is_empty() {
+                return DigitalTrace::constant(self.initial);
+            }
+            let first = self.transitions.first().expect("non-empty");
+            let last = self.transitions.last().expect("non-empty");
+            let max_width = self
+                .transitions
+                .iter()
+                .map(|s| 20.0 / s.a.abs())
+                .fold(0.0f64, f64::max);
+            let x0 = first.b - max_width;
+            let x1 = last.b + max_width;
+            let min_width = self
+                .transitions
+                .iter()
+                .map(|s| 1.0 / s.a.abs())
+                .fold(f64::INFINITY, f64::min);
+            let step = (min_width / 4.0).min((x1 - x0) / 256.0);
+            let n = (((x1 - x0) / step).ceil() as usize).clamp(257, 2_000_000) + 1;
+            let dt = (x1 - x0) / (n - 1) as f64;
+
+            let mut toggles = Vec::new();
+            let mut prev_x = x0;
+            let mut prev_v = self.value_at_scaled(x0);
+            for i in 1..n {
+                let x = x0 + i as f64 * dt;
+                let v = self.value_at_scaled(x);
+                if (prev_v > threshold) != (v > threshold) {
+                    let (mut lo, mut hi) = (prev_x, x);
+                    let lo_above = prev_v > threshold;
+                    for _ in 0..60 {
+                        let mid = 0.5 * (lo + hi);
+                        if (self.value_at_scaled(mid) > threshold) == lo_above {
+                            lo = mid;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    toggles.push(crate::to_seconds(0.5 * (lo + hi)));
+                }
+                prev_x = x;
+                prev_v = v;
+            }
+            let initial = Level::from_bool(self.value_at_scaled(x0) > threshold);
+            DigitalTrace::new(initial, toggles).expect("bisection times increase")
+        }
+    }
+
+    /// Asserts that `digitize` and the dense-scan reference agree on the
+    /// initial level and on every toggle bit for bit.
+    fn assert_digitize_refines_dense(t: &SigmoidTrace, threshold: f64) {
+        let fast = t.digitize(threshold);
+        let dense = t.digitize_dense(threshold);
+        assert_eq!(fast.initial(), dense.initial(), "{t:?} at {threshold}");
+        let bits = |d: &DigitalTrace| d.toggles().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast), bits(&dense), "{t:?} at {threshold}");
+    }
+
+    /// An alternating trace from `initial` through crossings `bs`
+    /// (non-decreasing) with slope magnitudes `mags`.
+    fn alternating(initial: Level, bs: &[f64], mags: &[f64]) -> SigmoidTrace {
+        let mut rising = !initial.is_high();
+        let trs = bs
+            .iter()
+            .zip(mags)
+            .map(|(&b, &a)| {
+                let s = if rising {
+                    Sigmoid::rising(a, b)
+                } else {
+                    Sigmoid::falling(a, b)
+                };
+                rising = !rising;
+                s
+            })
+            .collect();
+        SigmoidTrace::from_transitions(initial, trs, VDD_DEFAULT).unwrap()
+    }
+
+    /// The gap that puts the peak of a rise/fall pulse (slopes `a1`,
+    /// `a2`) at `target` (sum units), by bisection on
+    /// [`Sigmoid::pair_extremum`].
+    fn gap_for_peak(a1: f64, a2: f64, target: f64) -> f64 {
+        let (mut lo, mut hi) = (0.0, 20.0 / a1.min(a2));
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            let peak = Sigmoid::rising(a1, 0.0)
+                .pair_extremum(&Sigmoid::falling(a2, mid))
+                .sum;
+            if peak < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
 
     fn pulse(a: f64, b1: f64, b2: f64) -> SigmoidTrace {
         SigmoidTrace::from_transitions(
@@ -366,6 +548,26 @@ mod tests {
     }
 
     #[test]
+    fn digitize_refines_dense_scan_at_sample_clamp() {
+        // Steep transitions over a long span: the grid wants more than
+        // 2 M points and is clamped, so steps are coarser than the
+        // transitions themselves.
+        for (seed, span) in [(1u64, 2.0e4), (2, 6.0e4), (3, 1.0e5)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut bs = vec![0.0];
+            while bs.len() < 6 {
+                let last = *bs.last().expect("non-empty");
+                bs.push(last + rng.gen_range(0.0..span / 5.0));
+            }
+            let mags: Vec<f64> = (0..bs.len()).map(|_| rng.gen_range(30.0..80.0)).collect();
+            let t = alternating(Level::Low, &bs, &mags);
+            let (_, n, _) = t.digitize_grid();
+            assert_eq!(n, 2_000_001, "span {span} must hit the clamp");
+            assert_digitize_refines_dense(&t, VDD_DEFAULT / 2.0);
+        }
+    }
+
+    #[test]
     fn push_maintains_invariants() {
         let mut t = SigmoidTrace::constant(Level::Low, VDD_DEFAULT);
         t.push(Sigmoid::rising(5.0, 1.0)).unwrap();
@@ -409,6 +611,83 @@ mod tests {
                 prop_assert!((tog - s.crossing_seconds()).abs() < 1e-12,
                     "toggle {} vs crossing {}", tog, s.crossing_seconds());
             }
+        }
+
+        /// Random alternating traces — one transition to many, coincident
+        /// and overlapping crossings, mixed slopes — at thresholds across
+        /// and beyond the swing, including thresholds equal to sampled
+        /// trace values.
+        #[test]
+        fn digitize_refines_dense_scan(
+            seed in 0u64..u64::MAX,
+            count in 1usize..24,
+            high in any::<bool>(),
+            pin_threshold in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut b = rng.gen_range(-5.0..5.0);
+            let mut bs = Vec::new();
+            let mut mags = Vec::new();
+            for _ in 0..count {
+                bs.push(b);
+                mags.push(rng.gen_range(0.5..60.0));
+                b += if rng.gen_range(0..6) == 0 { 0.0 } else { rng.gen_range(0.0..1.5) };
+            }
+            let initial = Level::from_bool(high);
+            let t = alternating(initial, &bs, &mags);
+            let threshold = if pin_threshold {
+                t.value_at_scaled(bs[rng.gen_range(0..count)] + rng.gen_range(-0.2..0.2))
+            } else {
+                rng.gen_range(-0.1..1.1) * VDD_DEFAULT
+            };
+            assert_digitize_refines_dense(&t, threshold);
+            assert_digitize_refines_dense(&t, VDD_DEFAULT / 2.0);
+        }
+
+        /// Narrow pulses whose peak sits just below, at and just above the
+        /// half-swing threshold: the near-threshold plateau is where the
+        /// range bound cannot clear and sampling must take over.
+        #[test]
+        fn digitize_refines_dense_scan_near_threshold(
+            a1 in 2.0..40.0f64,
+            a2 in 2.0..40.0f64,
+            offset in -1e-3..1e-3f64,
+            falling_pulse in any::<bool>(),
+            tail in any::<bool>(),
+        ) {
+            let gap = gap_for_peak(a1, a2, 1.5 + offset);
+            let (initial, mut bs, mut mags) = (
+                Level::from_bool(falling_pulse),
+                vec![1.0, 1.0 + gap],
+                vec![a1, a2],
+            );
+            if tail {
+                // A full-swing pulse after the narrow one.
+                bs.extend([4.0, 6.0]);
+                mags.extend([20.0, 20.0]);
+            }
+            let t = alternating(initial, &bs, &mags);
+            assert_digitize_refines_dense(&t, VDD_DEFAULT / 2.0);
+            // Threshold pinned at the pulse's own peak value.
+            let peak = t.transitions()[0].pair_extremum(&t.transitions()[1]);
+            assert_digitize_refines_dense(&t, t.value_at_scaled(peak.scaled_time));
+        }
+
+        /// Sub-threshold pulses far narrower than their slopes: no toggles
+        /// either way, and the same initial level.
+        #[test]
+        fn digitize_refines_dense_scan_subthreshold(
+            a in 1.0..30.0f64,
+            gap_frac in 0.0..0.5f64,
+            pulses in 1usize..5,
+        ) {
+            let mut bs = Vec::new();
+            for p in 0..pulses {
+                let b = 3.0 * p as f64;
+                bs.extend([b, b + gap_frac / a]);
+            }
+            let t = alternating(Level::Low, &bs, &vec![a; bs.len()]);
+            assert_digitize_refines_dense(&t, VDD_DEFAULT / 2.0);
         }
 
         #[test]
