@@ -3,16 +3,32 @@
 //! described in Sec. III.
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::cell::Cell;
+use std::sync::{Arc, OnceLock};
 
 use sigwave::{Level, Sigmoid, SigmoidTrace};
 
 use sigchar::{DUMMY_SLOPE, T_FAR};
 
 use crate::region::ValidRegion;
-use crate::transfer::{TransferFunction, TransferQuery};
+use crate::transfer::{TransferFunction, TransferPrediction, TransferQuery};
 
 /// A gate model: a transfer function plus (optionally) its valid region.
+///
+/// # Snap-point prediction table
+///
+/// A query outside the valid region is snapped to one of the region's
+/// stored points (Sec. IV-B), so for such queries the transfer function
+/// only ever sees `2·N` distinct inputs: each stored point, with the
+/// query's `a_in` sign. [`GateModel::with_region`] therefore attaches a
+/// table with one lazily filled entry per (point, sign); an outside query
+/// costs one region search and one table read, and the network runs once
+/// per entry. The entry holds exactly what inference on the prepared
+/// query returns, so the table changes no output bit. Since the fields
+/// are public, the table remembers the `transfer` and `region`
+/// allocations it was built for and is consulted only while the model
+/// still holds both (compared by pointer); after either is reassigned,
+/// every query goes through the network again.
 #[derive(Clone)]
 pub struct GateModel {
     /// The transfer backend (ANN in the paper, LUT/poly for comparison).
@@ -20,6 +36,19 @@ pub struct GateModel {
     /// Valid-region containment (Sec. IV-B); `None` disables projection
     /// (an ablation the benchmarks exercise).
     pub region: Option<Arc<ValidRegion>>,
+    /// Predictions at the snapped points, shared by clones.
+    snaps: Option<Arc<SnapTable>>,
+}
+
+/// The lazily filled predictions at a region's stored points: entry
+/// `2·i` is point `i` with a non-negative `a_in` sign, `2·i + 1` with a
+/// negative one.
+struct SnapTable {
+    /// The pair the entries were computed with. Held strongly, so the
+    /// allocations cannot be freed and reused while the table lives.
+    transfer: Arc<dyn TransferFunction + Send + Sync>,
+    region: Arc<ValidRegion>,
+    entries: Box<[OnceLock<TransferPrediction>]>,
 }
 
 impl std::fmt::Debug for GateModel {
@@ -31,6 +60,23 @@ impl std::fmt::Debug for GateModel {
     }
 }
 
+/// How [`GateModel`] serves one raw query.
+enum Route {
+    /// Read from the snap-point table.
+    Table(TransferPrediction),
+    /// Needs inference on this prepared query.
+    Infer(TransferQuery),
+}
+
+thread_local! {
+    /// [`GateModel::predict_batch`]'s scatter scratch: the positions of
+    /// the queries that need inference, and their predictions. Taken
+    /// out for the call, so a nested call on the same thread starts
+    /// from an empty pair instead of aliasing it.
+    static SCATTER: Cell<(Vec<usize>, Vec<TransferPrediction>)> =
+        const { Cell::new((Vec::new(), Vec::new())) };
+}
+
 impl GateModel {
     /// A model without valid-region projection.
     #[must_use]
@@ -38,62 +84,125 @@ impl GateModel {
         Self {
             transfer,
             region: None,
+            snaps: None,
         }
     }
 
-    /// Attaches a valid region.
+    /// Attaches a valid region, with an empty snap-point table for the
+    /// current `transfer` (see [`GateModel`]).
     #[must_use]
     pub fn with_region(mut self, region: Arc<ValidRegion>) -> Self {
+        self.snaps = Some(Arc::new(SnapTable {
+            transfer: Arc::clone(&self.transfer),
+            region: Arc::clone(&region),
+            entries: (0..2 * region.len()).map(|_| OnceLock::new()).collect(),
+        }));
         self.region = Some(region);
         self
     }
 
     /// Clamps a raw query to the trained domain and (when a region is
     /// attached) projects it into the valid region — the per-query
-    /// preparation shared by the scalar and batch paths.
-    fn prepare(&self, query: TransferQuery) -> TransferQuery {
-        match &self.region {
-            Some(r) => {
-                // Keep the true polarity even if projection moved a_in
-                // across zero (it cannot for per-polarity regions, but be
-                // defensive).
-                let projected = r.project(query.clamped());
-                TransferQuery {
-                    a_in: projected.a_in.abs() * query.a_in.signum(),
-                    ..projected
-                }
+    /// preparation every prediction path applies before inference — and
+    /// reports the index of the stored point it snapped to, if any. One
+    /// region search.
+    fn locate(&self, query: TransferQuery) -> (TransferQuery, Option<usize>) {
+        let clamped = query.clamped();
+        let Some(region) = &self.region else {
+            return (clamped, None);
+        };
+        let snapped = region.snap(&clamped);
+        let projected = snapped.map_or(clamped, |index| region.point(index));
+        // Keep the true polarity even if projection moved a_in across
+        // zero (it cannot for per-polarity regions, but be defensive).
+        let prepared = TransferQuery {
+            a_in: projected.a_in.abs() * query.a_in.signum(),
+            ..projected
+        };
+        (prepared, snapped)
+    }
+
+    /// Routes one raw query: a snapped query to its table entry (filled
+    /// on first use by inference on the prepared query), anything else —
+    /// an inside query, or any query once the table no longer applies —
+    /// to inference on the prepared query.
+    fn route(&self, query: TransferQuery) -> Route {
+        let (prepared, snapped) = self.locate(query);
+        let table = self.snaps.as_deref().filter(|t| {
+            self.region
+                .as_ref()
+                .is_some_and(|r| Arc::ptr_eq(&t.region, r))
+                && std::ptr::addr_eq(Arc::as_ptr(&t.transfer), Arc::as_ptr(&self.transfer))
+        });
+        match (snapped, table) {
+            // The prepared query depends only on the point and the sign
+            // of `a_in` (never NaN here: a NaN `a_in` makes every
+            // distance NaN, and the search panics).
+            (Some(index), Some(t)) => {
+                let entry = &t.entries[2 * index + usize::from(query.a_in.is_sign_negative())];
+                Route::Table(*entry.get_or_init(|| self.transfer.predict(prepared)))
             }
-            None => query.clamped(),
+            _ => Route::Infer(prepared),
         }
     }
 
-    fn predict(&self, query: TransferQuery) -> crate::transfer::TransferPrediction {
-        self.transfer.predict(self.prepare(query))
+    /// Predicts one raw query: clamped and projected, then served from
+    /// the snap-point table or by the transfer function, bit-identical to
+    /// `transfer.predict` of the prepared query.
+    fn predict(&self, query: TransferQuery) -> TransferPrediction {
+        match self.route(query) {
+            Route::Table(prediction) => prediction,
+            Route::Infer(prepared) => self.transfer.predict(prepared),
+        }
     }
 
     /// Prepares a batch of raw queries **in place**: each is
-    /// clamped/projected exactly as the scalar [`GateModel`] prediction
-    /// does before inference. Idempotent, so re-preparing is harmless.
+    /// clamped/projected exactly as every prediction path does before
+    /// inference. Idempotent, so re-preparing is harmless.
     pub fn prepare_batch(&self, queries: &mut [TransferQuery]) {
         for q in queries.iter_mut() {
-            *q = self.prepare(*q);
+            *q = self.locate(*q).0;
         }
     }
 
-    /// Predicts a batch of independent queries: each is clamped/projected
-    /// in place (see [`GateModel::prepare_batch`] — the batch buffer is
-    /// the scratch, so nothing is allocated per call), then the whole
-    /// batch goes through [`TransferFunction::predict_batch`] in one
-    /// call. `out` is overwritten with one prediction per query, in
-    /// order, bit-identical to per-query [`TransferFunction::predict`]
-    /// calls.
-    pub fn predict_batch(
-        &self,
-        queries: &mut [TransferQuery],
-        out: &mut Vec<crate::transfer::TransferPrediction>,
-    ) {
-        self.prepare_batch(queries);
-        self.transfer.predict_batch(queries, out);
+    /// Predicts a batch of independent raw queries. `out` is overwritten
+    /// with one prediction per query, in order, bit-identical to
+    /// per-query [`TransferFunction::predict`] calls on the prepared
+    /// queries.
+    ///
+    /// Snapped queries are read from the snap-point table; the rest are
+    /// prepared and compacted to the front of `queries` (the round buffer
+    /// doubles as scratch, so its contents on return are unspecified),
+    /// inferred in one [`TransferFunction::predict_batch`] call, and
+    /// scattered back to their positions.
+    pub fn predict_batch(&self, queries: &mut [TransferQuery], out: &mut Vec<TransferPrediction>) {
+        let (mut at, mut inferred) = SCATTER.take();
+        at.clear();
+        out.clear();
+        out.reserve(queries.len());
+        for i in 0..queries.len() {
+            match self.route(queries[i]) {
+                Route::Table(prediction) => out.push(prediction),
+                Route::Infer(prepared) => {
+                    queries[at.len()] = prepared;
+                    at.push(i);
+                    out.push(TransferPrediction {
+                        a_out: f64::NAN,
+                        delay: f64::NAN,
+                    });
+                }
+            }
+        }
+        if at.len() == queries.len() {
+            self.transfer.predict_batch(queries, out);
+        } else if !at.is_empty() {
+            self.transfer
+                .predict_batch(&queries[..at.len()], &mut inferred);
+            for (&i, &prediction) in at.iter().zip(&inferred) {
+                out[i] = prediction;
+            }
+        }
+        SCATTER.set((at, inferred));
     }
 }
 
@@ -1054,6 +1163,251 @@ mod tests {
         for (q, p) in queries.iter().zip(&out) {
             assert_eq!(*p, m.predict(*q));
         }
+    }
+
+    /// A transfer function whose outputs depend on every input bit, and
+    /// which counts its scalar and batch rows.
+    #[derive(Default)]
+    struct Counting {
+        scalar: std::sync::atomic::AtomicUsize,
+        batch_rows: std::sync::atomic::AtomicUsize,
+        offset: f64,
+    }
+
+    impl TransferFunction for Counting {
+        fn predict(&self, q: TransferQuery) -> TransferPrediction {
+            self.scalar
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            TransferPrediction {
+                a_out: 1.5 * q.t - 0.25 * q.a_in + 0.125 * q.a_prev_out + self.offset,
+                delay: (q.t * q.a_in).sin() + q.a_prev_out.to_bits() as f64 * 1e-30,
+            }
+        }
+        fn predict_batch(&self, queries: &[TransferQuery], out: &mut Vec<TransferPrediction>) {
+            self.batch_rows
+                .fetch_add(queries.len(), std::sync::atomic::Ordering::Relaxed);
+            self.scalar
+                .fetch_sub(queries.len(), std::sync::atomic::Ordering::Relaxed);
+            out.clear();
+            out.extend(queries.iter().map(|&q| self.predict(q)));
+        }
+        fn backend_name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    impl Counting {
+        fn scalar_calls(&self) -> usize {
+            self.scalar.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    /// A small two-polarity region: 30 points per `a_in` sign.
+    fn snap_region() -> Arc<ValidRegion> {
+        let mut points = Vec::new();
+        for i in 0..30 {
+            let t = 0.2 + 0.1 * f64::from(i);
+            for s in [1.0, -1.0] {
+                points.push([t, s * (8.0 + 0.2 * f64::from(i)), -s * 10.0]);
+            }
+        }
+        Arc::new(ValidRegion::build(&points, 2.0))
+    }
+
+    /// Raw queries around `snap_region`: stored points and their near
+    /// neighbours (inside), far slopes and histories (outside), `a_in`
+    /// of either sign and ±0.0, and `t` beyond `T_FAR` (clamped).
+    fn mixed_queries(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<TransferQuery> {
+        use rand::Rng;
+        (0..n)
+            .map(|_| {
+                let i = f64::from(rng.gen_range(0..30u32));
+                let s = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                let base = TransferQuery {
+                    t: 0.2 + 0.1 * i,
+                    a_in: s * (8.0 + 0.2 * i),
+                    a_prev_out: -s * 10.0,
+                };
+                match rng.gen_range(0..6u32) {
+                    0 => base,
+                    1 => TransferQuery {
+                        t: base.t + rng.gen_range(-0.01..0.01),
+                        ..base
+                    },
+                    2 => TransferQuery {
+                        a_in: s * rng.gen_range(20.0..500.0),
+                        ..base
+                    },
+                    3 => TransferQuery {
+                        a_in: if rng.gen_bool(0.5) { 0.0 } else { -0.0 },
+                        ..base
+                    },
+                    4 => TransferQuery {
+                        t: rng.gen_range(0.0..2.0 * T_FAR),
+                        a_in: rng.gen_range(-40.0..40.0),
+                        a_prev_out: rng.gen_range(-40.0..40.0),
+                    },
+                    _ => TransferQuery {
+                        a_prev_out: -base.a_prev_out,
+                        ..base
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// Reference oracle: the query preparation every path applied before
+    /// the snap table existed — clamp, project, keep the polarity.
+    fn prepare(m: &GateModel, query: TransferQuery) -> TransferQuery {
+        match &m.region {
+            Some(r) => {
+                let projected = r.project(query.clamped());
+                TransferQuery {
+                    a_in: projected.a_in.abs() * query.a_in.signum(),
+                    ..projected
+                }
+            }
+            None => query.clamped(),
+        }
+    }
+
+    fn prediction_bits(p: &TransferPrediction) -> [u64; 2] {
+        [p.a_out.to_bits(), p.delay.to_bits()]
+    }
+
+    proptest::proptest! {
+        /// The table path refines inference on the prepared query: for
+        /// mixed batches of 0–16 raw queries (inside and outside, both
+        /// `a_in` signs, ±0.0), `predict` and `predict_batch` return
+        /// bit-for-bit `transfer.predict(prepare(q))`, cold and warm, and
+        /// every snapped (point, sign) is inferred at most once.
+        #[test]
+        fn snap_table_refines_prepared_inference(seed in 0u64..u64::MAX, n in 0usize..17) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let counting = Arc::new(Counting::default());
+            let region = snap_region();
+            let m = GateModel::new(Arc::clone(&counting) as _).with_region(Arc::clone(&region));
+            let reference = Counting::default();
+            let queries = mixed_queries(&mut rng, n);
+            let expected: Vec<[u64; 2]> = queries
+                .iter()
+                .map(|&q| prediction_bits(&reference.predict(prepare(&m, q))))
+                .collect();
+            let mut out = Vec::new();
+            for _ in 0..2 {
+                let mut batch = queries.clone();
+                m.predict_batch(&mut batch, &mut out);
+                let got: Vec<[u64; 2]> = out.iter().map(prediction_bits).collect();
+                proptest::prop_assert_eq!(&got, &expected);
+                for (q, e) in queries.iter().zip(&expected) {
+                    proptest::prop_assert_eq!(&prediction_bits(&m.predict(*q)), e);
+                }
+            }
+            // Scalar calls: one per table fill, plus the inside queries
+            // the two rounds of `predict` inferred one at a time.
+            let mut cells = std::collections::HashSet::new();
+            let mut inside = 0;
+            for q in &queries {
+                match region.snap(&q.clamped()) {
+                    Some(i) => {
+                        cells.insert((i, q.a_in.is_sign_negative()));
+                    }
+                    None => inside += 1,
+                }
+            }
+            proptest::prop_assert_eq!(counting.scalar_calls(), cells.len() + 2 * inside);
+        }
+    }
+
+    #[test]
+    fn snap_table_first_fill_races_safely() {
+        use rand::SeedableRng;
+        let counting = Arc::new(Counting::default());
+        let m = GateModel::new(Arc::clone(&counting) as _).with_region(snap_region());
+        let queries = mixed_queries(&mut rand::rngs::StdRng::seed_from_u64(11), 400);
+        let reference = Counting::default();
+        let expected: Vec<[u64; 2]> = queries
+            .iter()
+            .map(|&q| prediction_bits(&reference.predict(prepare(&m, q))))
+            .collect();
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for worker in 0..4 {
+                let (m, queries, expected, barrier) = (&m, &queries, &expected, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    if worker % 2 == 0 {
+                        for (q, e) in queries.iter().zip(expected) {
+                            assert_eq!(&prediction_bits(&m.predict(*q)), e);
+                        }
+                    } else {
+                        let mut batch = queries.clone();
+                        let mut out = Vec::new();
+                        m.predict_batch(&mut batch, &mut out);
+                        let got: Vec<[u64; 2]> = out.iter().map(prediction_bits).collect();
+                        assert_eq!(&got, expected);
+                    }
+                });
+            }
+        });
+        let region = m.region.as_ref().expect("region");
+        let snapped: Vec<Option<usize>> =
+            queries.iter().map(|q| region.snap(&q.clamped())).collect();
+        let cells: std::collections::HashSet<(usize, bool)> = snapped
+            .iter()
+            .zip(&queries)
+            .filter_map(|(i, q)| i.map(|i| (i, q.a_in.is_sign_negative())))
+            .collect();
+        let inside = snapped.iter().filter(|i| i.is_none()).count();
+        assert!(!cells.is_empty() && inside > 0);
+        // One scalar call per table fill, plus the inside queries the two
+        // `predict` workers inferred one at a time.
+        assert_eq!(
+            counting.scalar_calls(),
+            cells.len() + 2 * inside,
+            "each entry filled once"
+        );
+    }
+
+    #[test]
+    fn reassigned_fields_bypass_the_snap_table() {
+        let outside = TransferQuery {
+            t: 0.5,
+            a_in: 500.0,
+            a_prev_out: -9.0,
+        };
+        let first = Arc::new(Counting::default());
+        let mut m = GateModel::new(Arc::clone(&first) as _).with_region(snap_region());
+        assert!(m.region.as_ref().expect("region").snap(&outside).is_some());
+        let cold = m.predict(outside);
+        assert_eq!(m.predict(outside), cold);
+        assert_eq!(first.scalar_calls(), 1, "second call reads the table");
+
+        // A new transfer: the old table's entries must not be served.
+        let second = Arc::new(Counting {
+            offset: 1.0,
+            ..Counting::default()
+        });
+        m.transfer = Arc::clone(&second) as _;
+        let fresh = m.predict(outside);
+        assert_eq!(fresh, second.predict(prepare(&m, outside)));
+        assert_ne!(fresh, cold);
+        assert_eq!(second.scalar_calls(), 2, "inferred, not tabled");
+        let mut batch = [outside];
+        let mut out = Vec::new();
+        m.predict_batch(&mut batch, &mut out);
+        assert_eq!(out, [fresh]);
+
+        // The original transfer with an equal but reallocated region: the
+        // table no longer applies either.
+        m.transfer = Arc::clone(&first) as _;
+        let copy = ValidRegion::clone(m.region.as_ref().expect("region"));
+        m.region = Some(Arc::new(copy));
+        let calls = first.scalar_calls();
+        assert_eq!(m.predict(outside), cold);
+        assert_eq!(m.predict(outside), cold);
+        assert_eq!(first.scalar_calls(), calls + 2);
     }
 
     #[test]

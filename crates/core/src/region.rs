@@ -10,22 +10,45 @@
 //! projection snaps the query to the nearest training point. A kd-tree
 //! makes both operations `O(log n)`.
 //!
-//! # One search per query
+//! # One box-bounded search per query
 //!
-//! [`ValidRegion::project`] answers both questions — inside? and if not,
-//! which point? — from a single nearest-neighbour search. The search walks
-//! the node array iteratively (an explicit stack of deferred far
-//! subtrees, no recursion) and prunes a far subtree when its splitting
-//! plane is no closer than the *best* distance found so far. Ties keep the
-//! first point found: a candidate replaces the best only on a strict `<`,
-//! in near-first visit order. Every point in a pruned subtree is at least
-//! as far as the best at pruning time, so under that rule it could never
-//! have replaced the best; the search therefore returns the same point as
-//! an exhaustive near-first walk, and the same point as the previous
-//! two-search form (containment test, then nearest-point search, both
-//! pruning on the second-nearest distance), which the unit tests keep as
-//! a reference oracle next to a brute-force scan. The second-nearest
-//! distance is needed only at build time, to measure point spacing.
+//! [`ValidRegion::snap`] answers both questions — inside? and if not,
+//! which stored point? — from a single nearest-neighbour search, and
+//! returns the point's *index* so callers can key per-point data on it
+//! (`GateModel` keeps a prediction per snapped point);
+//! [`ValidRegion::project`] and [`ValidRegion::contains`] are thin
+//! wrappers over the same search.
+//!
+//! The search walks the node array iteratively (an explicit stack of
+//! deferred far subtrees, near side first) and skips a subtree whose
+//! *bounding box* is no closer than the best distance found so far. Each
+//! node stores the box of its subtree, computed in one `O(n)` pass when
+//! the region is built and again when it is loaded. Ties keep the first
+//! point found: a candidate replaces the best only on a strict `<`.
+//!
+//! The box bound is exact in floating point, not only in real arithmetic.
+//! For a point `p` in a box `[lo, hi]` and a query below the box on some
+//! axis, `p − q ≥ lo − q > 0`, and rounding is monotone, so the computed
+//! gap is no larger than the computed coordinate difference; squaring
+//! non-negative values and adding them in the same order as the point
+//! distance are monotone too. The computed box distance is therefore
+//! never larger than any contained point's computed distance, and a
+//! skipped subtree cannot hold a strict improvement. Under the strict `<`
+//! tie rule the walk thus returns the first minimum in near-first order,
+//! the same point as the exhaustive walk. The unit tests check it against
+//! three reference oracles: a walk pruning on splitting-plane distance,
+//! a two-search form (containment test, then nearest-point search, both
+//! pruning on the second-nearest distance) and a brute-force scan. The
+//! second-nearest distance is needed only at build time, to measure
+//! point spacing.
+//!
+//! # Serialized form
+//!
+//! The boxes are derived data: the JSON form holds only the tree (nodes,
+//! root, axis scales, threshold), and the boxes are rebuilt on load, so
+//! model caches written without them keep loading. Loading checks the
+//! tree's shape (children after their parent, bounded depth) before it
+//! rebuilds the boxes, and rejects a malformed tree with an error.
 
 use serde::{Deserialize, Serialize};
 
@@ -35,7 +58,8 @@ use crate::transfer::TransferQuery;
 type Point = [f64; 3];
 
 /// Deepest kd-tree [`ValidRegion::nearest`] walks. [`ValidRegion::build`]
-/// splits at the median, so its trees are `⌊log₂ n⌋ + 1` levels deep.
+/// splits at the median, so its trees are `⌊log₂ n⌋ + 1` levels deep;
+/// loading rejects deeper trees.
 const MAX_DEPTH: usize = 64;
 
 /// kd-tree node in implicit array layout.
@@ -48,9 +72,10 @@ struct KdNode {
     right: Option<usize>,
 }
 
-/// The valid input region of a trained transfer function.
+/// The serialized part of a [`ValidRegion`]: the kd-tree and its
+/// normalization. Its field set is the region's JSON format.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ValidRegion {
+struct KdTree {
     nodes: Vec<KdNode>,
     root: Option<usize>,
     /// Per-axis normalization scale (so distances weigh T and slopes
@@ -58,6 +83,30 @@ pub struct ValidRegion {
     scales: [f64; 3],
     /// Inside iff nearest-neighbour distance (normalized) ≤ threshold.
     threshold: f64,
+}
+
+/// The axis-aligned bounding box `[lo, hi]` of a kd subtree's points.
+type Aabb = [Point; 2];
+
+/// The valid input region of a trained transfer function.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ValidRegion {
+    tree: KdTree,
+    /// `boxes[i]` bounds the subtree rooted at `tree.nodes[i]`.
+    boxes: Vec<Aabb>,
+}
+
+impl Serialize for ValidRegion {
+    fn to_value(&self) -> serde::Value {
+        self.tree.to_value()
+    }
+}
+
+impl Deserialize for ValidRegion {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Self::from_tree(KdTree::from_value(v)?)
+            .map_err(|e| serde::Error::new(format!("valid region: {e}")))
+    }
 }
 
 impl ValidRegion {
@@ -91,21 +140,21 @@ impl ValidRegion {
             .map(|p| [p[0] / scales[0], p[1] / scales[1], p[2] / scales[2]])
             .collect();
 
-        let mut region = Self {
+        let mut tree = KdTree {
             nodes: Vec::with_capacity(points.len()),
             root: None,
             scales,
             threshold: 0.0,
         };
         let mut idx: Vec<usize> = (0..normalized.len()).collect();
-        region.root = region.build_rec(&normalized, &mut idx, 0);
+        tree.root = tree.build_rec(&normalized, &mut idx, 0);
 
         // Typical spacing: median nearest-neighbour distance (each point
         // queried against the tree excluding itself would need bookkeeping;
         // the second-nearest of a self-query is the same thing).
         let mut nn: Vec<f64> = normalized
             .iter()
-            .map(|p| region.two_nearest(*p).1)
+            .map(|p| tree.two_nearest(*p).1)
             .filter(|d| d.is_finite())
             .collect();
         nn.sort_by(f64::total_cmp);
@@ -116,10 +165,188 @@ impl ValidRegion {
         } else {
             nn[nn.len() / 2].max(1e-9)
         };
-        region.threshold = margin * median;
-        region
+        tree.threshold = margin * median;
+        Self::from_tree(tree).expect("median-split trees are well-formed")
     }
 
+    /// Checks a tree's shape and derives its subtree boxes.
+    ///
+    /// Every child must come after its parent in the node array (the
+    /// pre-order layout [`KdTree::build_rec`] produces), so one reverse
+    /// pass sees each child's box before its parent's; and no path may be
+    /// deeper than [`MAX_DEPTH`], which bounds the search stack.
+    fn from_tree(tree: KdTree) -> Result<Self, String> {
+        let n = tree.nodes.len();
+        if n == 0 || tree.root.is_none_or(|r| r >= n) {
+            return Err(format!("root {:?} invalid for {n} nodes", tree.root));
+        }
+        let mut depth = vec![0usize; n];
+        for (i, node) in tree.nodes.iter().enumerate() {
+            if node.axis >= 3 {
+                return Err(format!("node {i}: axis {}", node.axis));
+            }
+            for child in [node.left, node.right].into_iter().flatten() {
+                if child <= i || child >= n {
+                    return Err(format!("node {i}: child {child} out of order"));
+                }
+                depth[child] = depth[child].max(depth[i] + 1);
+                if depth[child] >= MAX_DEPTH {
+                    return Err(format!("kd-tree deeper than {MAX_DEPTH}"));
+                }
+            }
+        }
+        let mut boxes: Vec<Aabb> = tree.nodes.iter().map(|nd| [nd.point, nd.point]).collect();
+        for i in (0..n).rev() {
+            let node = &tree.nodes[i];
+            for child in [node.left, node.right].into_iter().flatten() {
+                let [lo, hi] = boxes[child];
+                for axis in 0..3 {
+                    boxes[i][0][axis] = boxes[i][0][axis].min(lo[axis]);
+                    boxes[i][1][axis] = boxes[i][1][axis].max(hi[axis]);
+                }
+            }
+        }
+        Ok(Self { tree, boxes })
+    }
+
+    /// Index of the first stored point at the minimum squared distance
+    /// from `q` (normalized space) in near-first order, with that
+    /// distance; `None` only if no distance compares below infinity (e.g.
+    /// for a NaN query).
+    ///
+    /// Iterative near-first descent: each node's far child is deferred on
+    /// a fixed stack together with its box distance, and is visited only
+    /// if that distance is still below the best once the near side is
+    /// done; a near child is entered only if its box distance is below
+    /// the best.
+    fn nearest(&self, q: Point) -> (f64, Option<usize>) {
+        let nodes = &self.tree.nodes;
+        let mut best_d2 = f64::INFINITY;
+        let mut best = None;
+        let mut deferred = [(0usize, 0.0f64); MAX_DEPTH];
+        let mut top = 0;
+        let mut next = self
+            .tree
+            .root
+            .filter(|&r| box_dist2(&self.boxes[r], q) < best_d2);
+        loop {
+            while let Some(i) = next {
+                let n = &nodes[i];
+                let d2 = dist2(n.point, q);
+                if d2 < best_d2 {
+                    best_d2 = d2;
+                    best = Some(i);
+                }
+                let delta = q[n.axis] - n.point[n.axis];
+                let (near, far) = if delta < 0.0 {
+                    (n.left, n.right)
+                } else {
+                    (n.right, n.left)
+                };
+                if let Some(f) = far {
+                    let box_d2 = box_dist2(&self.boxes[f], q);
+                    if box_d2 < best_d2 {
+                        deferred[top] = (f, box_d2);
+                        top += 1;
+                    }
+                }
+                next = near.filter(|&c| box_dist2(&self.boxes[c], q) < best_d2);
+            }
+            loop {
+                if top == 0 {
+                    return (best_d2, best);
+                }
+                top -= 1;
+                let (far, box_d2) = deferred[top];
+                if box_d2 < best_d2 {
+                    next = Some(far);
+                    break;
+                }
+            }
+        }
+    }
+
+    fn normalize(&self, q: &TransferQuery) -> Point {
+        let s = &self.tree.scales;
+        [q.t / s[0], q.a_in / s[1], q.a_prev_out / s[2]]
+    }
+
+    /// The stored point a query snaps to: `None` if the query lies inside
+    /// the region, otherwise the index (`< len()`) of its nearest stored
+    /// point, whose coordinates [`ValidRegion::point`] returns. Equal
+    /// queries always give the same answer; among equidistant points the
+    /// first in the search's near-first order wins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no stored point compares closer than infinity, i.e. for
+    /// a query with a NaN or infinite coordinate.
+    #[must_use]
+    pub fn snap(&self, query: &TransferQuery) -> Option<usize> {
+        let (d2, nearest) = self.nearest(self.normalize(query));
+        if d2.sqrt() <= self.tree.threshold {
+            return None;
+        }
+        Some(nearest.expect("tree non-empty"))
+    }
+
+    /// The coordinates of stored point `index` (see [`ValidRegion::snap`])
+    /// in query units.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len()`.
+    #[must_use]
+    pub fn point(&self, index: usize) -> TransferQuery {
+        let p = self.tree.nodes[index].point;
+        let s = &self.tree.scales;
+        TransferQuery {
+            t: p[0] * s[0],
+            a_in: p[1] * s[1],
+            a_prev_out: p[2] * s[2],
+        }
+    }
+
+    /// `true` if the query lies inside the valid region.
+    #[must_use]
+    pub fn contains(&self, query: &TransferQuery) -> bool {
+        self.nearest(self.normalize(query)).0.sqrt() <= self.tree.threshold
+    }
+
+    /// Projects the query into the region: queries already inside are
+    /// returned unchanged, outside queries snap to the closest training
+    /// point ("compute the closest point on the concave hull and use these
+    /// coordinates as inputs instead", Sec. IV-B). One nearest-neighbour
+    /// search decides both.
+    #[must_use]
+    pub fn project(&self, query: TransferQuery) -> TransferQuery {
+        match self.snap(&query) {
+            None => query,
+            Some(index) => self.point(index),
+        }
+    }
+
+    /// Number of stored training points.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.tree.nodes.len()
+    }
+
+    /// `false`: construction requires at least one point.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Builds the region from a dataset's polarity half.
+    #[must_use]
+    pub fn from_samples(samples: &[sigchar::TransferSample], margin: f64) -> Self {
+        let pts: Vec<[f64; 3]> = samples.iter().map(|s| s.features()).collect();
+        Self::build(&pts, margin)
+    }
+}
+
+impl KdTree {
     fn build_rec(&mut self, pts: &[Point], idx: &mut [usize], depth: usize) -> Option<usize> {
         if idx.is_empty() {
             return None;
@@ -176,116 +403,29 @@ impl ValidRegion {
             self.search_two(far, q, best);
         }
     }
-
-    /// Squared distance from `q` (normalized space) to its nearest
-    /// training point, and that point (`None` only if no distance
-    /// compares below infinity, e.g. for a NaN query).
-    ///
-    /// Iterative near-first descent: each node's far child is deferred on
-    /// a fixed stack together with its squared plane distance, and is
-    /// visited only if that distance is still below the best once the
-    /// near side is done — the moment the recursive form would test it.
-    fn nearest(&self, q: Point) -> (f64, Option<Point>) {
-        let mut best_d2 = f64::INFINITY;
-        let mut best = None;
-        let mut deferred = [(0usize, 0.0f64); MAX_DEPTH];
-        let mut top = 0;
-        let mut next = self.root;
-        loop {
-            while let Some(i) = next {
-                let n = &self.nodes[i];
-                let d2 = dist2(n.point, q);
-                if d2 < best_d2 {
-                    best_d2 = d2;
-                    best = Some(n.point);
-                }
-                let delta = q[n.axis] - n.point[n.axis];
-                let (near, far) = if delta < 0.0 {
-                    (n.left, n.right)
-                } else {
-                    (n.right, n.left)
-                };
-                if let Some(f) = far {
-                    assert!(
-                        top < MAX_DEPTH,
-                        "valid-region kd-tree deeper than {MAX_DEPTH}"
-                    );
-                    deferred[top] = (f, delta * delta);
-                    top += 1;
-                }
-                next = near;
-            }
-            loop {
-                if top == 0 {
-                    return (best_d2, best);
-                }
-                top -= 1;
-                let (far, plane_d2) = deferred[top];
-                if plane_d2 < best_d2 {
-                    next = Some(far);
-                    break;
-                }
-            }
-        }
-    }
-
-    fn normalize(&self, q: &TransferQuery) -> Point {
-        [
-            q.t / self.scales[0],
-            q.a_in / self.scales[1],
-            q.a_prev_out / self.scales[2],
-        ]
-    }
-
-    /// `true` if the query lies inside the valid region.
-    #[must_use]
-    pub fn contains(&self, query: &TransferQuery) -> bool {
-        self.nearest(self.normalize(query)).0.sqrt() <= self.threshold
-    }
-
-    /// Projects the query into the region: queries already inside are
-    /// returned unchanged, outside queries snap to the closest training
-    /// point ("compute the closest point on the concave hull and use these
-    /// coordinates as inputs instead", Sec. IV-B). One nearest-neighbour
-    /// search decides both.
-    #[must_use]
-    pub fn project(&self, query: TransferQuery) -> TransferQuery {
-        let (d2, nearest) = self.nearest(self.normalize(&query));
-        if d2.sqrt() <= self.threshold {
-            return query;
-        }
-        let p = nearest.expect("tree non-empty");
-        TransferQuery {
-            t: p[0] * self.scales[0],
-            a_in: p[1] * self.scales[1],
-            a_prev_out: p[2] * self.scales[2],
-        }
-    }
-
-    /// Number of stored training points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `false`: construction requires at least one point.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Builds the region from a dataset's polarity half.
-    #[must_use]
-    pub fn from_samples(samples: &[sigchar::TransferSample], margin: f64) -> Self {
-        let pts: Vec<[f64; 3]> = samples.iter().map(|s| s.features()).collect();
-        Self::build(&pts, margin)
-    }
 }
 
 fn dist2(a: Point, b: Point) -> f64 {
     let dx = a[0] - b[0];
     let dy = a[1] - b[1];
     let dz = a[2] - b[2];
+    dx * dx + dy * dy + dz * dz
+}
+
+/// Squared distance from `q` to a box, computed like [`dist2`] (per-axis
+/// gap, squared, summed in the same order) so that it never exceeds the
+/// computed [`dist2`] of any point inside the box; see the module docs.
+fn box_dist2(b: &Aabb, q: Point) -> f64 {
+    let gap = |axis: usize| {
+        if q[axis] < b[0][axis] {
+            b[0][axis] - q[axis]
+        } else if q[axis] > b[1][axis] {
+            q[axis] - b[1][axis]
+        } else {
+            0.0
+        }
+    };
+    let (dx, dy, dz) = (gap(0), gap(1), gap(2));
     dx * dx + dy * dy + dz * dz
 }
 
@@ -297,21 +437,63 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     impl ValidRegion {
-        /// Reference oracle: the previous projection, a containment test
-        /// followed by a second search for the point, both pruning on the
-        /// second-nearest distance.
+        /// Reference oracle: the two-search projection, a containment
+        /// test followed by a second search for the point, both pruning
+        /// on the second-nearest distance.
         fn project_two_search(&self, query: TransferQuery) -> TransferQuery {
+            let t = &self.tree;
             let norm = self.normalize(&query);
-            if self.two_nearest(norm).0 <= self.threshold {
+            if t.two_nearest(norm).0 <= t.threshold {
                 return query;
             }
             let mut best = (f64::INFINITY, f64::INFINITY, None::<Point>);
-            self.search_two(self.root, norm, &mut best);
+            t.search_two(t.root, norm, &mut best);
             let p = best.2.expect("tree non-empty");
             TransferQuery {
-                t: p[0] * self.scales[0],
-                a_in: p[1] * self.scales[1],
-                a_prev_out: p[2] * self.scales[2],
+                t: p[0] * t.scales[0],
+                a_in: p[1] * t.scales[1],
+                a_prev_out: p[2] * t.scales[2],
+            }
+        }
+
+        /// Reference oracle: the plane-pruned 1-NN walk, the same
+        /// near-first order and tie rule as [`ValidRegion::nearest`] but
+        /// pruning a far subtree on its splitting-plane distance, with no
+        /// boxes.
+        fn nearest_plane(&self, q: Point) -> (f64, Option<usize>) {
+            let nodes = &self.tree.nodes;
+            let mut best_d2 = f64::INFINITY;
+            let mut best = None;
+            let mut deferred = Vec::new();
+            let mut next = self.tree.root;
+            loop {
+                while let Some(i) = next {
+                    let n = &nodes[i];
+                    let d2 = dist2(n.point, q);
+                    if d2 < best_d2 {
+                        best_d2 = d2;
+                        best = Some(i);
+                    }
+                    let delta = q[n.axis] - n.point[n.axis];
+                    let (near, far) = if delta < 0.0 {
+                        (n.left, n.right)
+                    } else {
+                        (n.right, n.left)
+                    };
+                    if let Some(f) = far {
+                        deferred.push((f, delta * delta));
+                    }
+                    next = near;
+                }
+                loop {
+                    let Some((far, plane_d2)) = deferred.pop() else {
+                        return (best_d2, best);
+                    };
+                    if plane_d2 < best_d2 {
+                        next = Some(far);
+                        break;
+                    }
+                }
             }
         }
     }
@@ -319,11 +501,9 @@ mod tests {
     /// Reference oracle: the minimum squared distance from `norm` to any
     /// training point, by exhaustive scan in the region's normalized space.
     fn brute_min_d2(r: &ValidRegion, pts: &[[f64; 3]], norm: Point) -> f64 {
+        let s = r.tree.scales;
         pts.iter()
-            .map(|p| {
-                let n = [p[0] / r.scales[0], p[1] / r.scales[1], p[2] / r.scales[2]];
-                dist2(n, norm)
-            })
+            .map(|p| dist2([p[0] / s[0], p[1] / s[1], p[2] / s[2]], norm))
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -410,6 +590,76 @@ mod tests {
         assert!((proj.a_in - 2.0).abs() < 1e-9);
     }
 
+    /// The region's JSON is the model-cache format: pinned here, so a
+    /// drift (a new field, a renamed one, the derived boxes leaking into
+    /// it) fails. A region loaded from the pinned string rebuilds its
+    /// boxes and snaps every probe exactly like the freshly built one.
+    #[test]
+    fn serialized_form_is_pinned_and_reloads_exactly() {
+        const GOLDEN: &str = concat!(
+            r#"{"nodes":[{"point":[0.5,2.5,-0.5],"axis":0,"left":1,"right":2},"#,
+            r#"{"point":[0,2,-1],"axis":1,"left":null,"right":null},"#,
+            r#"{"point":[1,3,-1.5],"axis":1,"left":null,"right":null}],"#,
+            r#""root":0,"scales":[1,2,2],"threshold":2.598076211353316}"#
+        );
+        let built =
+            ValidRegion::build(&[[0.0, 4.0, -2.0], [1.0, 6.0, -3.0], [0.5, 5.0, -1.0]], 3.0);
+        assert_eq!(serde_json::to_string(&built).expect("serialize"), GOLDEN);
+        let loaded: ValidRegion = serde_json::from_str(GOLDEN).expect("deserialize");
+        assert_eq!(loaded.boxes, built.boxes);
+        assert_eq!(loaded.boxes[0], [[0.0, 2.0, -1.5], [1.0, 3.0, -0.5]]);
+        assert_eq!(loaded, built);
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..500 {
+            let probe = q(
+                rng.gen_range(-30.0..30.0),
+                rng.gen_range(-30.0..30.0),
+                rng.gen_range(-30.0..30.0),
+            );
+            assert_eq!(loaded.snap(&probe), built.snap(&probe));
+            assert_eq!(
+                query_bits(&loaded.project(probe)),
+                query_bits(&built.project(probe))
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_trees_are_rejected_on_load() {
+        let node = |left: &str, right: &str| {
+            format!(r#"{{"point":[0,0,0],"axis":0,"left":{left},"right":{right}}}"#)
+        };
+        let region = |nodes: &[String], root: &str| {
+            format!(
+                r#"{{"nodes":[{}],"root":{root},"scales":[1,1,1],"threshold":1}}"#,
+                nodes.join(",")
+            )
+        };
+        let leaf = node("null", "null");
+        let ok = region(&[node("1", "null"), leaf.clone()], "0");
+        assert!(serde_json::from_str::<ValidRegion>(&ok).is_ok());
+        let chain: Vec<String> = (1..=MAX_DEPTH)
+            .map(|c| node(&c.to_string(), "null"))
+            .chain([leaf.clone()])
+            .collect();
+        for bad in [
+            region(&[], "null"),
+            region(std::slice::from_ref(&leaf), "null"),
+            region(std::slice::from_ref(&leaf), "1"),
+            region(&[node("0", "null")], "0"),
+            region(&[leaf.clone(), node("0", "null")], "1"),
+            region(&[node("2", "null"), leaf.clone()], "0"),
+            region(
+                &[r#"{"point":[0,0,0],"axis":3,"left":null,"right":null}"#.into()],
+                "0",
+            ),
+            region(&chain, "0"),
+        ] {
+            let err = serde_json::from_str::<ValidRegion>(&bad).expect_err(&bad);
+            assert!(err.to_string().contains("valid region"), "{err}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "needs training points")]
     fn empty_rejected() {
@@ -417,9 +667,10 @@ mod tests {
     }
 
     proptest! {
-        /// The one-search projection refines both references: it returns
-        /// bit-for-bit what the old two-search form returns, and the point
-        /// it finds is at the brute-force minimum distance. Queries cover
+        /// The box-bounded search refines all three references: it finds
+        /// the same point index as the plane-pruned walk, its projection is
+        /// bit-for-bit what the two-search form returns, and the point it
+        /// finds is at the brute-force minimum distance. Queries cover
         /// random and far positions, training points themselves, their
         /// float neighbours, and midpoints between two training points
         /// (equidistant ties, frequent on the integer lattice, which also
@@ -487,12 +738,21 @@ mod tests {
 
                 let norm = r.normalize(&query);
                 let (d2, nearest) = r.nearest(norm);
+                let (plane_d2, plane) = r.nearest_plane(norm);
+                prop_assert_eq!(nearest, plane, "query {:?}: box vs plane walk", query);
+                prop_assert_eq!(d2.to_bits(), plane_d2.to_bits());
                 let brute = brute_min_d2(&r, &pts, norm);
                 prop_assert_eq!(d2.to_bits(), brute.to_bits(),
                     "query {:?}: kd {} vs brute {}", query, d2, brute);
-                let p = nearest.expect("non-empty tree");
-                prop_assert_eq!(dist2(p, norm).to_bits(), brute.to_bits());
-                prop_assert_eq!(r.contains(&query), brute.sqrt() <= r.threshold);
+                let i = nearest.expect("non-empty tree");
+                prop_assert_eq!(dist2(r.tree.nodes[i].point, norm).to_bits(), brute.to_bits());
+                prop_assert_eq!(r.contains(&query), brute.sqrt() <= r.tree.threshold);
+                let snapped = r.snap(&query);
+                prop_assert_eq!(snapped.is_none(), r.contains(&query));
+                if let Some(s) = snapped {
+                    prop_assert_eq!(s, i);
+                    prop_assert_eq!(query_bits(&r.point(s)), query_bits(&fast));
+                }
             }
         }
 
@@ -505,15 +765,9 @@ mod tests {
             let r = ValidRegion::build(&pts, 3.0);
             let query = q(probe[0], probe[1], probe[2]);
             let norm = r.normalize(&query);
-            let (d, _) = r.two_nearest(norm);
+            let (d, _) = r.tree.two_nearest(norm);
             // Brute force in the same normalized space.
-            let brute = pts
-                .iter()
-                .map(|p| {
-                    let n = [p[0] / r.scales[0], p[1] / r.scales[1], p[2] / r.scales[2]];
-                    dist2(n, norm).sqrt()
-                })
-                .fold(f64::INFINITY, f64::min);
+            let brute = brute_min_d2(&r, &pts, norm).sqrt();
             prop_assert!((d - brute).abs() < 1e-9, "kd {d} vs brute {brute}");
         }
     }

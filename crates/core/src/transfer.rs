@@ -67,7 +67,9 @@ pub trait TransferFunction {
     /// scratch reuse for [`crate::LutTransfer`]) override it; every
     /// override must stay bit-identical to the scalar loop per query — the
     /// levelized simulator's determinism guarantee rests on that (see
-    /// `docs/architecture.md` § Levelized batched engine).
+    /// `docs/architecture.md` § Levelized batched engine), and so does
+    /// [`crate::GateModel`]'s snap-point table, whose entries are filled
+    /// by scalar `predict` calls and served in place of batch rows.
     fn predict_batch(&self, queries: &[TransferQuery], out: &mut Vec<TransferPrediction>) {
         out.clear();
         out.reserve(queries.len());

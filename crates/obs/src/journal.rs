@@ -83,6 +83,14 @@ fn push_event(event: Event) {
     RING.with(|ring| ring.lock().unwrap_or_else(|e| e.into_inner()).push(event));
 }
 
+/// The calling thread's journal id: the `tid` its spans carry in
+/// [`ChromeEvent`]s and exported traces. Registers the thread's ring if
+/// it has none yet.
+#[must_use]
+pub fn thread_tid() -> u64 {
+    RING.with(|ring| ring.lock().unwrap_or_else(|e| e.into_inner()).tid)
+}
+
 /// An in-flight span: created by [`span`], journaled on drop. Inert
 /// (no clock reads, nothing journaled) unless tracing was enabled at
 /// creation time.
@@ -209,6 +217,9 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "loud");
         assert_eq!(events[0].arg, Some(("rows".to_string(), 42)));
+        assert_eq!(events[0].tid, thread_tid(), "spans carry their thread's id");
+        let other = std::thread::spawn(thread_tid).join().unwrap();
+        assert_ne!(other, thread_tid());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use chrome::{chrome_trace_json, drain_chrome_trace, write_chrome_trace, Chro
 pub use histogram::{
     bucket_index, bucket_upper, snapshot_all, Counter, Hist, HistSnapshot, HIST_BUCKETS,
 };
-pub use journal::{record_span, span, Span, JOURNAL_CAPACITY};
+pub use journal::{record_span, span, thread_tid, Span, JOURNAL_CAPACITY};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Instant;

@@ -62,10 +62,6 @@ use crate::session::SessionTable;
 static DECODE: sigobs::Hist = sigobs::Hist::new("serve.decode");
 static ENCODE: sigobs::Hist = sigobs::Hist::new("serve.encode");
 
-/// Times `epoll_wait` returned across all reactors since process start.
-/// A test-visible busy-poll tripwire: an idle daemon must not tick.
-static WAKEUPS: AtomicU64 = AtomicU64::new(0);
-
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const TOKEN_CONN_BASE: u64 = 2;
@@ -107,6 +103,12 @@ struct MuxShared {
     /// Round-robin cursor for assigning accepted sockets to reactors.
     next_reactor: AtomicUsize,
     reactors: Vec<ReactorHandle>,
+    /// Times `epoll_wait` returned across this daemon's reactors: a
+    /// busy-poll tripwire, since an idle daemon must not tick.
+    wakeups: AtomicU64,
+    /// The reactor threads' `sigobs` journal ids, so a trace can be
+    /// attributed to this daemon's reactors.
+    reactor_tids: Mutex<Vec<u64>>,
 }
 
 impl MuxShared {
@@ -230,13 +232,18 @@ struct Reactor {
 
 impl Reactor {
     fn run(mut self) {
+        self.shared
+            .reactor_tids
+            .lock()
+            .expect("reactor tids poisoned")
+            .push(sigobs::thread_tid());
         let mut events: Vec<Event> = Vec::new();
         loop {
             events.clear();
             if self.poller.wait(&mut events, None).is_err() {
                 break;
             }
-            WAKEUPS.fetch_add(1, Ordering::Relaxed);
+            self.shared.wakeups.fetch_add(1, Ordering::Relaxed);
             for &ev in &events {
                 match ev.token {
                     TOKEN_WAKER => {
@@ -638,6 +645,20 @@ impl Reactor {
 /// (epoll instance, wake channels, registrations). Runtime per-
 /// connection failures never kill the daemon.
 pub fn serve_mux(service: &Arc<Service>, listener: TcpListener) -> std::io::Result<()> {
+    let (_shared, threads) = start_mux(service, listener)?;
+    for t in threads {
+        let _ = t.join();
+    }
+    service.drain();
+    Ok(())
+}
+
+/// Starts the reactor threads of [`serve_mux`] and returns the state
+/// they share together with their join handles.
+fn start_mux(
+    service: &Arc<Service>,
+    listener: TcpListener,
+) -> std::io::Result<(Arc<MuxShared>, Vec<std::thread::JoinHandle<()>>)> {
     listener.set_nonblocking(true)?;
     let io_threads = service.config().io_threads.max(1);
     let mut receivers = Vec::with_capacity(io_threads);
@@ -657,6 +678,8 @@ pub fn serve_mux(service: &Arc<Service>, listener: TcpListener) -> std::io::Resu
         admission: AtomicUsize::new(0),
         next_reactor: AtomicUsize::new(0),
         reactors: handles,
+        wakeups: AtomicU64::new(0),
+        reactor_tids: Mutex::new(Vec::with_capacity(io_threads)),
     });
     let mut listener = Some(listener);
     let mut threads = Vec::with_capacity(io_threads);
@@ -678,11 +701,7 @@ pub fn serve_mux(service: &Arc<Service>, listener: TcpListener) -> std::io::Resu
         };
         threads.push(std::thread::spawn(move || reactor.run()));
     }
-    for t in threads {
-        let _ = t.join();
-    }
-    service.drain();
-    Ok(())
+    Ok((shared, threads))
 }
 
 #[cfg(test)]
@@ -912,7 +931,19 @@ mod tests {
     #[test]
     fn idle_daemon_does_zero_periodic_work() {
         let service = mux_service(ServiceConfig::default());
-        let (addr, server) = spawn_daemon(&service);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let daemon = Arc::clone(&service);
+        let server = std::thread::spawn(move || {
+            let (shared, threads) = start_mux(&daemon, listener).expect("serve");
+            tx.send(shared).expect("hand over");
+            for t in threads {
+                let _ = t.join();
+            }
+            daemon.drain();
+        });
+        let shared = rx.recv().expect("daemon state");
         // An idle open connection (the old transport's 200 ms read
         // timeout made exactly this case spin).
         let idle = TcpStream::connect(addr).expect("connect idle");
@@ -920,18 +951,29 @@ mod tests {
             std::thread::yield_now();
         }
         std::thread::sleep(Duration::from_millis(50)); // settle accept wakeups
+        let reactors = loop {
+            let tids = shared.reactor_tids.lock().expect("tids").clone();
+            if tids.len() == service.config().io_threads.max(1) {
+                break tids;
+            }
+            std::thread::yield_now();
+        };
+        // The trace mode and the journal are process-wide and other tests
+        // run in parallel, so only this daemon's reactor threads are
+        // judged.
         let was = sigobs::mode();
         sigobs::set_mode(sigobs::ObsMode::Trace);
         let _ = sigobs::drain_chrome_trace();
-        let before = WAKEUPS.load(Ordering::Relaxed);
+        let before = shared.wakeups.load(Ordering::Relaxed);
         std::thread::sleep(Duration::from_millis(400));
-        let after = WAKEUPS.load(Ordering::Relaxed);
+        let after = shared.wakeups.load(Ordering::Relaxed);
         let (spans, _dropped) = sigobs::drain_chrome_trace();
         sigobs::set_mode(was);
         assert_eq!(after - before, 0, "idle reactors must not tick");
+        let reactor_spans: Vec<_> = spans.iter().filter(|s| reactors.contains(&s.tid)).collect();
         assert!(
-            spans.is_empty(),
-            "no spans may accumulate on an idle traced daemon: {spans:?}"
+            reactor_spans.is_empty(),
+            "no spans may accumulate on an idle traced daemon's reactors: {reactor_spans:?}"
         );
         drop(idle);
         shutdown_daemon(addr, server);

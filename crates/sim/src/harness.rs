@@ -880,6 +880,170 @@ mod tests {
         }
     }
 
+    /// Wraps a trained network, counting the scalar `predict` calls that
+    /// fill a snap-point entry (the query is a stored region point with a
+    /// signed `a_in`) per entry, and every other scalar call.
+    struct SnapCounter {
+        inner: Arc<dyn sigtom::TransferFunction + Send + Sync>,
+        /// Prepared snapped query bits → fills so far.
+        snap_fills: std::sync::Mutex<HashMap<[u64; 3], usize>>,
+        other: std::sync::atomic::AtomicUsize,
+    }
+
+    impl sigtom::TransferFunction for SnapCounter {
+        fn predict(&self, q: sigtom::TransferQuery) -> sigtom::TransferPrediction {
+            let key = [q.t.to_bits(), q.a_in.to_bits(), q.a_prev_out.to_bits()];
+            match self.snap_fills.lock().unwrap().get_mut(&key) {
+                Some(fills) => *fills += 1,
+                None => {
+                    self.other
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+            }
+            self.inner.predict(q)
+        }
+        fn predict_batch(
+            &self,
+            queries: &[sigtom::TransferQuery],
+            out: &mut Vec<sigtom::TransferPrediction>,
+        ) {
+            self.inner.predict_batch(queries, out);
+        }
+        fn backend_name(&self) -> &'static str {
+            "snap-counter"
+        }
+    }
+
+    impl SnapCounter {
+        fn wrap(model: &sigtom::GateModel) -> (sigtom::GateModel, Arc<Self>) {
+            let region = Arc::clone(model.region.as_ref().expect("ci models carry a region"));
+            let mut keys = HashMap::new();
+            for i in 0..region.len() {
+                let p = region.point(i);
+                for sign in [1.0, -1.0] {
+                    let a_in: f64 = p.a_in.abs() * sign;
+                    keys.insert([p.t.to_bits(), a_in.to_bits(), p.a_prev_out.to_bits()], 0);
+                }
+            }
+            let counter = Arc::new(Self {
+                inner: Arc::clone(&model.transfer),
+                snap_fills: std::sync::Mutex::new(keys),
+                other: std::sync::atomic::AtomicUsize::new(0),
+            });
+            let wrapped = sigtom::GateModel::new(Arc::clone(&counter) as _).with_region(region);
+            (wrapped, counter)
+        }
+
+        /// (entries filled so far, the most fills of any one entry).
+        fn fills(&self) -> (usize, usize) {
+            let fills = self.snap_fills.lock().unwrap();
+            let filled = fills.values().filter(|&&n| n > 0).count();
+            (filled, fills.values().copied().max().unwrap_or(0))
+        }
+    }
+
+    /// The snap-point table at work on a trained session: every (point,
+    /// sign) entry is inferred at most once across a session's open and
+    /// deltas, and once the entries a delta needs are filled, repeating
+    /// that delta infers no snapped query at all. The deltas stay
+    /// bit-identical to full runs of the same models with the table
+    /// bypassed.
+    #[test]
+    fn warm_session_deltas_infer_no_snapped_query() {
+        use crate::simulator::{SimScratch, StimulusEdit};
+        let bench = sigcircuit::Benchmark::by_name("c17").unwrap();
+        let circuit = Arc::new(bench.nor_mapped.clone());
+        let trained = train_models(&tiny_pipeline()).unwrap();
+        let base = trained.gate_models();
+        let slots = [
+            &base.inverter,
+            &base.inverter_fo2,
+            &base.nor_fo1,
+            &base.nor_fo2,
+        ];
+        let (wrapped, counters): (Vec<_>, Vec<_>) =
+            slots.iter().map(|m| SnapCounter::wrap(m)).unzip();
+        let [inverter, inverter_fo2, nor_fo1, nor_fo2] = <[_; 4]>::try_from(wrapped).unwrap();
+        let counted = GateModels {
+            inverter,
+            inverter_fo2,
+            nor_fo1,
+            nor_fo2,
+        };
+        // The reference: an equal but reallocated region disables the table.
+        let untabled = |m: &sigtom::GateModel| {
+            let mut m = m.clone();
+            m.region = m.region.as_deref().map(|r| Arc::new(r.clone()));
+            m
+        };
+        let plain = GateModels {
+            inverter: untabled(&base.inverter),
+            inverter_fo2: untabled(&base.inverter_fo2),
+            nor_fo1: untabled(&base.nor_fo1),
+            nor_fo2: untabled(&base.nor_fo2),
+        };
+        let options = TomOptions::default();
+        let program = CircuitProgram::compile(
+            Arc::clone(&circuit),
+            Arc::new(CellModels::nor_only(&counted)),
+            options,
+        )
+        .unwrap();
+        let reference = CircuitProgram::compile(
+            Arc::clone(&circuit),
+            Arc::new(CellModels::nor_only(&plain)),
+            options,
+        )
+        .unwrap();
+
+        let spec = StimulusSpec::new(60e-12, 20e-12, 4);
+        let sigmoid_stimuli = |seed: u64| -> HashMap<NetId, Arc<SigmoidTrace>> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            random_stimuli(&circuit, &spec, &mut rng)
+                .iter()
+                .map(|(&net, d)| (net, Arc::new(digital_to_sigmoid(d, options.vdd))))
+                .collect()
+        };
+        let mut stimuli = sigmoid_stimuli(1);
+        let mut scratch = SimScratch::new();
+        let mut state = program.open_session(&stimuli, &mut scratch).unwrap();
+        let input = circuit.inputs()[0];
+        let edits: Vec<StimulusEdit> = [2, 3]
+            .iter()
+            .map(|&seed| StimulusEdit {
+                net: input,
+                trace: Arc::clone(&sigmoid_stimuli(seed)[&input]),
+            })
+            .collect();
+        let filled =
+            |counters: &[Arc<SnapCounter>]| -> usize { counters.iter().map(|c| c.fills().0).sum() };
+        let mut cold_fills = 0;
+        for round in 0..3 {
+            for edit in &edits {
+                let before = filled(&counters);
+                let result = program
+                    .execute_delta(&mut state, std::slice::from_ref(edit))
+                    .unwrap();
+                assert!(state.last_reeval() > 0, "the delta re-evaluates gates");
+                stimuli.insert(input, Arc::clone(&edit.trace));
+                let full = reference.execute(&stimuli, &mut SimScratch::new()).unwrap();
+                for (a, b) in result.traces().iter().zip(full.traces()) {
+                    assert!(sigtom::traces_bit_identical(a, b), "round {round}");
+                }
+                let new_fills = filled(&counters) - before;
+                if round == 0 {
+                    cold_fills += new_fills;
+                } else {
+                    assert_eq!(new_fills, 0, "warm delta inferred a snapped query");
+                }
+            }
+        }
+        assert!(cold_fills > 0, "the deltas snap queries");
+        for c in &counters {
+            assert!(c.fills().1 <= 1, "a snap entry was inferred twice");
+        }
+    }
+
     #[test]
     fn c17_three_way_comparison() {
         let bench = sigcircuit::Benchmark::by_name("c17").unwrap();

@@ -1513,21 +1513,20 @@ fn execute_program(
     Ok(SigmoidSimResult { traces, undriven })
 }
 
-/// One batched model evaluation: queries are clamped/projected in place
-/// (the round buffer doubles as the scratch — no allocation per call),
-/// then inference is chunked across the worker pool when the batch is
-/// large enough to amortize the fan-out. Chunking only regroups rows;
-/// every row's arithmetic is unchanged, so results are identical to the
-/// single-call form. `workers` must already be resolved (`>= 1`).
+/// One batched model evaluation through [`GateModel::predict_batch`],
+/// chunked across the worker pool when the batch is large enough to
+/// amortize the fan-out. Chunking only regroups rows; every row's
+/// arithmetic is unchanged, so results are identical to the single-call
+/// form. `queries` is scratch (its contents on return are unspecified).
+/// `workers` must already be resolved (`>= 1`).
 fn predict_chunked(
     model: &GateModel,
     queries: &mut [TransferQuery],
     out: &mut Vec<sigtom::TransferPrediction>,
     workers: usize,
 ) {
-    model.prepare_batch(queries);
     if workers <= 1 || queries.len() < 2 * PAR_MIN_BATCH_ROWS {
-        model.transfer.predict_batch(queries, out);
+        model.predict_batch(queries, out);
         return;
     }
     let queries: &[TransferQuery] = queries;
@@ -1537,10 +1536,9 @@ fn predict_chunked(
         .map(|start| start..(start + chunk).min(queries.len()))
         .collect();
     let parts = sigwave::parallel::par_map(workers, &ranges, |_, range| {
+        let mut rows = queries[range.clone()].to_vec();
         let mut part = Vec::with_capacity(range.len());
-        model
-            .transfer
-            .predict_batch(&queries[range.clone()], &mut part);
+        model.predict_batch(&mut rows, &mut part);
         part
     });
     out.clear();
